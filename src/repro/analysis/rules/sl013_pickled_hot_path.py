@@ -11,10 +11,9 @@ built to fix). This rule is the lint that would have caught it: inside
 messages (doorbells, acks, barriers).
 
 Module-scoped and restricted to ``cluster/``: elsewhere a pickled put is
-usually a one-shot handoff, not a per-batch hot path. The legacy queue
-transport kept for A/B benchmarking suppresses the finding on its one
-send site, which is exactly the documentation the suppression comment
-exists to provide.
+usually a one-shot handoff, not a per-batch hot path. That pickled plane
+is gone (its numbers stay in the committed ``BENCH_cluster.json``), and
+with it the one suppression this rule ever had in the tree.
 """
 
 from __future__ import annotations

@@ -92,12 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--smoke)",
     )
     parser.add_argument(
-        "--transport",
-        choices=("shm", "queue", "both"),
-        default="both",
-        help="data-plane transport(s) for --cluster (default: %(default)s)",
-    )
-    parser.add_argument(
         "--items",
         type=int,
         default=None,
@@ -198,11 +192,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {out_path} ({len(payload['results'])} cases, schema OK)")
         return 0
     if args.cluster:
-        from repro.bench.cluster import (
-            DEFAULT_TRANSPORTS,
-            DEFAULT_WORKERS,
-            run_cluster_bench,
-        )
+        from repro.bench.cluster import DEFAULT_WORKERS, run_cluster_bench
 
         n_items = 2_000 if args.smoke else (args.items or 60_000)
         repeats = 1 if args.smoke else args.repeats
@@ -211,16 +201,12 @@ def main(argv: list[str] | None = None) -> int:
             if args.workers
             else ((1, 2) if args.smoke else DEFAULT_WORKERS)
         )
-        transports = (
-            DEFAULT_TRANSPORTS if args.transport == "both" else (args.transport,)
-        )
         payload = run_cluster_bench(
             n_items=n_items,
             repeats=repeats,
             seed=args.seed,
             smoke=args.smoke,
             workers=workers,
-            transports=transports,
         )
         validate_payload(payload)
         print(format_table(payload))

@@ -8,9 +8,11 @@ seeded demo word stream::
 
 and runs it once per configuration: single-process
 :class:`LocalExecutor` as the baseline, then
-:class:`~repro.cluster.coordinator.ClusterExecutor` at each worker count
-× each data-plane transport (``shm`` rings vs the legacy pickled-batch
-``queue``), best-of-*repeats* over identical records.
+:class:`~repro.cluster.coordinator.ClusterExecutor` at each worker count,
+best-of-*repeats* over identical records. (The committed
+``BENCH_cluster.json`` also carries rows for a pickled-batch ``queue``
+data plane; shm matched or beat it at every worker count, which is why
+that plane was deleted. Those rows are its record.)
 
 **Why this workload scales even on one core.** The ``quantile`` stage is
 an :class:`~repro.quantiles.exact.ExactQuantiles` — a sorted buffer whose
@@ -20,18 +22,18 @@ shard's buffer — and therefore the stage's *total* maintenance work — by
 ~N. That is the partitioned-state payoff the paper's Section 2 scale-out
 contract describes: the gain is real work reduction, not just parallel
 wall-clock, so it is measurable even when every worker multiplexes one
-CPU. What eats the gain is transport overhead — which is exactly what
-this bench compares across transports. ``n_cores`` is recorded in the
+CPU. What eats the gain is transport overhead, which the byte and frame
+columns account for. ``n_cores`` is recorded in the
 config; on real cores the same sweep additionally buys wall-clock
 parallelism.
 
 Results use the ``repro.bench/v2`` row shape: the v1 timing columns
 (``seq_*`` = single-process baseline, ``batch_*`` = sharded run,
 ``speedup`` = their ratio) plus the transport columns — ``transport``,
-``n_workers``, ``data_bytes_shm``, ``data_bytes_queue``, ``data_frames``,
+``n_workers``, ``data_bytes_shm``, ``data_frames``,
 ``codec_pickled_bytes``, ``backpressure_waits`` — taken from the
-executor's ``transport_stats``. A ``data_bytes_queue`` of 0 on every shm
-row is the "pickle-free data plane" proof the transport work promised.
+executor's ``transport_stats``. A ``codec_pickled_bytes`` of 0 is the
+"pickle-free data plane" proof the transport work promised.
 
 ``equivalent`` asserts bit-identical answers: the merged quantile shard
 partials (a sorted-multiset union, so *exactly* the single-process
@@ -55,9 +57,6 @@ from repro.quantiles.exact import ExactQuantiles
 
 #: Worker counts measured by default: baseline parity, then doubling.
 DEFAULT_WORKERS = (1, 2, 4, 8)
-
-#: Data-plane transports swept by default (shm first: it is the default).
-DEFAULT_TRANSPORTS = ("shm", "queue")
 
 
 def build_cluster_topology(
@@ -114,7 +113,6 @@ def _cluster_run(
     n_workers: int,
     repeats: int,
     semantics: str,
-    transport: str,
     reference: tuple,
 ) -> tuple[float, bool, dict]:
     """Best-of-*repeats* sharded wall time + equivalence + transport stats."""
@@ -126,7 +124,6 @@ def _cluster_run(
             build_cluster_topology(records, quantile_parallelism=n_workers),
             n_workers=n_workers,
             semantics=semantics,
-            transport=transport,
         )
         with executor:
             start = time.perf_counter()
@@ -148,7 +145,6 @@ def run_cluster_bench(
     smoke: bool = False,
     workers: tuple[int, ...] = DEFAULT_WORKERS,
     semantics: str = "at_most_once",
-    transports: tuple[str, ...] = DEFAULT_TRANSPORTS,
 ) -> dict:
     """Measure cluster scaling; returns a ``repro.bench/v2`` payload."""
     if n_items <= 0:
@@ -157,41 +153,37 @@ def run_cluster_bench(
         raise ParameterError("repeats must be positive")
     if not workers or any(w <= 0 for w in workers):
         raise ParameterError("workers must be positive counts")
-    if not transports or any(t not in DEFAULT_TRANSPORTS for t in transports):
-        raise ParameterError(f"transports must be drawn from {DEFAULT_TRANSPORTS}")
     records = demo_records(n_items, seed)
     base_seconds, reference = _baseline(records, repeats, semantics)
     results = []
-    for transport in transports:
-        for n_workers in workers:
-            seconds, equivalent, stats = _cluster_run(
-                records, n_workers, repeats, semantics, transport, reference
-            )
-            results.append(
-                {
-                    "synopsis": f"cluster[w{n_workers}|{transport}]",
-                    "workload": f"cluster-scaling/{semantics}",
-                    "n_items": len(records),
-                    # seq_* = single-process baseline, batch_* = sharded
-                    # run (see module docstring); speedup = their ratio.
-                    "seq_seconds": base_seconds,
-                    "batch_seconds": seconds,
-                    "seq_items_per_s": len(records) / base_seconds,
-                    "batch_items_per_s": len(records) / seconds,
-                    "speedup": base_seconds / seconds,
-                    "equivalent": equivalent,
-                    "transport": stats.get("transport", transport),
-                    "n_workers": n_workers,
-                    "data_bytes_shm": stats.get("data_bytes_shm", 0),
-                    "data_bytes_queue": stats.get("data_bytes_queue", 0),
-                    "data_frames": stats.get("data_frames", 0),
-                    "codec_pickled_bytes": stats.get("codec_pickled_bytes", 0),
-                    "backpressure_waits": stats.get("backpressure_waits", 0),
-                    # Cores this row actually had (affinity-aware), so a
-                    # committed speedup is interpretable on any host.
-                    "n_cores": available_cpu_count(),
-                }
-            )
+    for n_workers in workers:
+        seconds, equivalent, stats = _cluster_run(
+            records, n_workers, repeats, semantics, reference
+        )
+        results.append(
+            {
+                "synopsis": f"cluster[w{n_workers}]",
+                "workload": f"cluster-scaling/{semantics}",
+                "n_items": len(records),
+                # seq_* = single-process baseline, batch_* = sharded
+                # run (see module docstring); speedup = their ratio.
+                "seq_seconds": base_seconds,
+                "batch_seconds": seconds,
+                "seq_items_per_s": len(records) / base_seconds,
+                "batch_items_per_s": len(records) / seconds,
+                "speedup": base_seconds / seconds,
+                "equivalent": equivalent,
+                "transport": stats["transport"],
+                "n_workers": n_workers,
+                "data_bytes_shm": stats["data_bytes_shm"],
+                "data_frames": stats["data_frames"],
+                "codec_pickled_bytes": stats["codec_pickled_bytes"],
+                "backpressure_waits": stats["backpressure_waits"],
+                # Cores this row actually had (affinity-aware), so a
+                # committed speedup is interpretable on any host.
+                "n_cores": available_cpu_count(),
+            }
+        )
     return {
         "schema": BENCH_SCHEMA_V2,
         "config": {
@@ -201,7 +193,6 @@ def run_cluster_bench(
             "smoke": smoke,
             "mode": "cluster-scaling",
             "workers": list(workers),
-            "transports": list(transports),
             "semantics": semantics,
             "n_cores": available_cpu_count(),
         },

@@ -60,7 +60,6 @@ SPIKE_SYNOPSES = ("hot_keys", "audience", "latency")
 #: ``repro.cluster.elastic.migrate._rewire``).
 _EXECUTOR_KW: dict[str, Any] = {
     "semantics": "exactly_once",
-    "transport": "shm",
     "batch_size": 64,
     "max_outstanding": 8,
     "checkpoint_interval": 4_000,

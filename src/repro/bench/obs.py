@@ -204,7 +204,6 @@ def run_obs_bench(
                     "telemetry_interval": interval,
                     "telemetry_flushes": flushes,
                     "data_bytes_shm": stats.get("data_bytes_shm", 0),
-                    "data_bytes_queue": stats.get("data_bytes_queue", 0),
                     "data_frames": stats.get("data_frames", 0),
                     "codec_pickled_bytes": stats.get("codec_pickled_bytes", 0),
                     "backpressure_waits": stats.get("backpressure_waits", 0),

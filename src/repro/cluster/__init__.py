@@ -7,8 +7,9 @@ worker *processes*:
 * :mod:`repro.cluster.plan` — the coordinator plans each bolt's declared
   ``parallelism`` into per-worker shard assignments (Storm worker slots,
   Samza partition→container mapping).
-* :mod:`repro.cluster.worker` — the child-process event loop: local task
-  queues, worker-side routing, fault injection, checkpoint capture.
+* :mod:`repro.cluster.worker` — the child-process event loop around the
+  shared operator loop (:mod:`repro.platform.runner`): local-or-remote
+  delivery, reply assembly, checkpoint capture, telemetry.
 * :mod:`repro.cluster.coordinator` — :class:`ClusterExecutor`: feeds
   spouts, routes honouring the grouping contracts, tracks tuple trees
   (XOR acker), takes cluster-wide checkpoints, detects worker crashes and
@@ -19,10 +20,8 @@ worker *processes*:
   zero-copy data plane: tuple batches travel as columnar frames over
   shared-memory SPSC rings inherited through fork; ``multiprocessing``
   queues carry only control traffic (doorbells, acks, checkpoint
-  barriers, crash/respawn). ``transport="queue"`` keeps the legacy
-  pickled-batch baseline for A/B benchmarking.
-* :mod:`repro.cluster.obsbridge` — per-worker metrics/spans exported back
-  to the parent and aggregated into one :mod:`repro.obs` registry.
+  barriers, crash/respawn). Per-worker metrics and spans stream home
+  as :mod:`repro.obs.live` delta telemetry.
 
 Field-grouped keys stay shard-local, so per-shard synopses are *exact*
 partials of the single-process state; ``SynopsisBase.merge`` folds them

@@ -8,11 +8,11 @@ N worker processes, optionally crashing one mid-run, and prints:
 * the merged top-k from the sketch bolt's shard partials (merge-on-query),
 * a cross-check against the single-process ``LocalExecutor`` — the merged
   Count-Min/HLL/Space-Saving fingerprints must match bit-for-bit,
-* a transport summary (bytes over shm rings vs pickled over queues) and a
+* a transport summary (bytes and frames over the shm rings) and a
   ``/dev/shm`` leak audit — any segment this process failed to unlink
   makes the run exit non-zero.
 
-CI's ``cluster-smoke`` and ``shm-smoke`` jobs run exactly this with two
+CI's ``cluster-smoke`` job runs exactly this with two
 workers and an injected crash under exactly-once semantics: the demo
 recovering, still fingerprint-matching the sequential run, and leaving
 ``/dev/shm`` clean is the subsystem's end-to-end proof.
@@ -77,12 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="spout tuples between checkpoints (default: %(default)s)",
     )
     parser.add_argument(
-        "--transport",
-        choices=("shm", "queue"),
-        default="shm",
-        help="data-plane transport (default: %(default)s)",
-    )
-    parser.add_argument(
         "--seed", type=int, default=7, help="workload seed (default: %(default)s)"
     )
     parser.add_argument(
@@ -135,7 +129,6 @@ def main(argv: list[str] | None = None) -> int:
         checkpoint_interval=args.checkpoint_interval,
         worker_faults=worker_faults,
         obs=obs,
-        transport=args.transport,
         telemetry_interval=args.telemetry_interval,
         flight_path=args.flight,
         health_log=args.health_log,
@@ -158,7 +151,6 @@ def main(argv: list[str] | None = None) -> int:
         f"transport: {stats['transport']} — "
         f"{stats['data_bytes_shm']} B over shm rings "
         f"({stats['data_frames']} frames), "
-        f"{stats['data_bytes_queue']} B pickled over queues, "
         f"{stats['backpressure_waits']} backpressure waits"
     )
     if health is not None:

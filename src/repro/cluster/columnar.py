@@ -1,8 +1,9 @@
 """Columnar tuple-batch codec for the shared-memory data plane.
 
-The queue transport pickles every envelope — a list of delivery entries
-``(component, task, values, root, tuple_id, trace)`` — through a
-``multiprocessing`` pipe. This module replaces that wire format with a
+An envelope is a list of delivery entries ``(component, task, values,
+root, tuple_id, trace)``. Pickling it through a ``multiprocessing`` pipe
+capped cluster speedup (the queue rows of the committed
+``BENCH_cluster.json``); this module's wire format is a
 self-describing binary *frame* of numpy columns, so a batch crosses the
 process boundary as a handful of contiguous arrays instead of thousands
 of small Python objects:
@@ -31,8 +32,7 @@ order — the codec is invisible to delivery semantics, grouping
 contracts and fingerprints.
 
 Frames are epoch-tagged like every cluster message; a frame from before
-a rollback is discarded by the reader exactly like a stale queue
-envelope.
+a rollback is discarded by the reader.
 """
 
 from __future__ import annotations

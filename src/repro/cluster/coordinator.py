@@ -11,10 +11,10 @@ same delivery-semantics ladder, N worker processes instead of one loop:
   (``parallelism > 1`` + :meth:`~repro.platform.topology.Spout.split`)
   are read round-robin. Spout edges are routed here with the topology's
   grouping instances; routed deliveries are batched into per-worker
-  envelopes so one queue hop carries many tuples.
+  columnar frames so one ring push carries many tuples.
 * **Routing** — bolts route their own emissions worker-side; only copies
-  destined for shards on *other* workers come back in the reply for
-  re-routing (star transport: simple, deterministic, and with
+  destined for shards on *other* workers come back (on the worker's
+  outbox ring) for forwarding (star transport: simple, deterministic, and with
   field-grouped keys the large majority of traffic stays shard-local, so
   per-shard synopses see their keys in exact global stream order).
 * **Reliability** — Storm's XOR acker lives here, fed by per-envelope ack
@@ -43,7 +43,6 @@ from __future__ import annotations
 import itertools
 import json
 import multiprocessing
-import pickle
 import queue as queue_mod
 import threading
 import time
@@ -57,7 +56,7 @@ from repro.obs.context import Observability
 from repro.obs.flight import FlightRecorder
 from repro.obs.health import HealthMonitor, HealthSnapshot
 from repro.obs.live import DEFAULT_FLUSH_INTERVAL, TelemetryAbsorber
-from repro.obs.tracing import Span, next_span_id
+from repro.obs.tracing import Span, event_span, lifecycle_span, next_span_id
 from repro.platform.ack import Acker
 from repro.platform.executor import _SEMANTICS, topological_bolt_order
 from repro.platform.faults import FaultInjector
@@ -65,14 +64,10 @@ from repro.platform.metrics import ExecutionMetrics
 from repro.platform.topology import Spout, Topology, is_partitionable
 from repro.platform.tuples import next_tuple_id
 
-from repro.cluster import columnar, obsbridge
+from repro.cluster import columnar
 from repro.cluster.plan import ShardPlan, plan_topology
-from repro.cluster.shm import ShmChannel, shm_available
+from repro.cluster.shm import ShmChannel
 from repro.cluster.worker import worker_main
-
-#: Data-plane transports: shared-memory rings (default) or the legacy
-#: pickled-batch-over-queue baseline (kept for A/B benchmarking).
-_TRANSPORTS = ("shm", "queue")
 
 
 class _FlushInterrupted(Exception):
@@ -124,7 +119,12 @@ class _CaptureRequest:
 
 
 class ClusterExecutor:
-    """Run a :class:`Topology` across N worker processes."""
+    """Run a :class:`Topology` across N worker processes.
+
+    ``transport`` is vestigial: shared-memory rings are the only data
+    plane, ``"shm"`` its only legal value. The argument stays until the
+    benchmark harness (which passes it) stops doing so.
+    """
 
     def __init__(
         self,
@@ -158,12 +158,10 @@ class ClusterExecutor:
             raise ParameterError("checkpoint_interval must be positive")
         if batch_size <= 0:
             raise ParameterError("batch_size must be positive")
-        if transport not in _TRANSPORTS:
-            raise ParameterError(f"transport must be one of {_TRANSPORTS}")
+        if transport != "shm":
+            raise ParameterError("transport must be 'shm' (the only data plane)")
         if max_frame + 8 > ring_capacity:
             raise ParameterError("ring_capacity must exceed max_frame (+ header)")
-        if transport == "shm" and not shm_available():  # pragma: no cover
-            transport = "queue"  # non-POSIX fallback; bench records the mode
         self.topology = topology
         self.n_workers = n_workers
         self.semantics = semantics
@@ -174,7 +172,6 @@ class ClusterExecutor:
         self.obs = obs
         self.max_replays_per_message = max_replays_per_message
         self.reply_timeout = reply_timeout
-        self.transport = transport
         self.ring_capacity = ring_capacity
         self.max_frame = max_frame
         self.plan: ShardPlan = plan_topology(topology, n_workers)
@@ -183,13 +180,12 @@ class ClusterExecutor:
         )
         self._channels: list[ShmChannel] = []
         #: Data-plane accounting, keyed for the bench's byte columns:
-        #: bytes moved over shm rings vs pickled through mp queues, frame
-        #: count, bytes that fell back to pickle inside columnar frames,
-        #: and how often a full ring forced the coordinator to wait.
+        #: bytes moved over shm rings, frame count, bytes that fell back
+        #: to pickle inside columnar frames, and how often a full ring
+        #: forced the coordinator to wait.
         self.transport_stats: dict[str, Any] = {
-            "transport": transport,
+            "transport": "shm",
             "data_bytes_shm": 0,
-            "data_bytes_queue": 0,
             "data_frames": 0,
             "codec_pickled_bytes": 0,
             "backpressure_waits": 0,
@@ -202,8 +198,7 @@ class ClusterExecutor:
         if obs is not None:
             self._m_bytes = obs.registry.counter(
                 "repro_cluster_transport_bytes_total",
-                "Data-plane bytes moved, by transport path",
-                labelnames=("path",),
+                "Data-plane bytes moved over the shm rings",
             )
             self._m_frames = obs.registry.counter(
                 "repro_cluster_transport_frames_total",
@@ -241,7 +236,7 @@ class ClusterExecutor:
             self._health: HealthMonitor | None = HealthMonitor(
                 n_workers=n_workers,
                 operators=self._operator_owners(),
-                ring_capacity=ring_capacity if self.transport == "shm" else 0,
+                ring_capacity=ring_capacity,
                 watermark_unit=(
                     "event_time" if event_time_fn is not None else "offset"
                 ),
@@ -301,6 +296,8 @@ class ClusterExecutor:
         self._checkpoint: dict | None = None
         self._pulls_since_checkpoint = 0
         self._recover_requested = False
+        #: A bolt raised in a worker: sticky, every later pump re-raises.
+        self._worker_error: str | None = None
 
         # Serving-layer snapshot hook: capture requests queued by other
         # threads, serviced at consistent points of the pump loop (or
@@ -329,8 +326,8 @@ class ClusterExecutor:
 
     def _spawn_worker(self, worker_id: int) -> None:
         respawn = worker_id < len(self._processes)
-        channel = self._channels[worker_id] if self.transport == "shm" else None
-        if respawn and channel is not None:
+        channel = self._channels[worker_id]
+        if respawn:
             # The dead incarnation may have left a torn/partial write past
             # ``head`` and unread frames before it; both are dead traffic
             # of a discarded epoch. Reset before the fork so the new
@@ -378,7 +375,7 @@ class ClusterExecutor:
         if self._started:
             return
         self._results = [self._mp.Queue() for __ in range(self.n_workers)]
-        if self.transport == "shm" and not self._channels:
+        if not self._channels:
             # Segments must exist before the forks: children inherit the
             # mapped buffers, so no name handshake or handle pickling.
             self._channels = [
@@ -398,10 +395,19 @@ class ClusterExecutor:
             self._close_health_log()
             return
         self._closed = True
-        alive = [w for w in range(self.n_workers) if self._processes[w].is_alive()]
-        for worker_id in alive:
+        self._stop_workers()
+        if self._health is not None:
+            self._publish_health(reason="final")
+        self._join_workers()
+        self._destroy_channels()
+        self._close_health_log()
+
+    def _stop_workers(self) -> None:
+        """Tell every live worker to stop and absorb its final telemetry.
+        A worker that dies mid-stop is simply dropped."""
+        pending = {w for w in range(self.n_workers) if self._processes[w].is_alive()}
+        for worker_id in pending:
             self._inboxes[worker_id].put(("stop", self.epoch))
-        pending = set(alive)
         deadline = time.perf_counter() + self.reply_timeout
         while pending and time.perf_counter() < deadline:
             # Keep outbox rings flowing: a worker finishing its last
@@ -418,25 +424,15 @@ class ClusterExecutor:
                 # ahead of its "stopped") — plus any interval flushes
                 # still in flight.
                 self._absorb_telemetry(worker_id, payload)
-            elif kind == "stopped" and worker_id in pending:
+            elif kind == "stopped":
                 pending.discard(worker_id)
-                if payload is not None and self.obs is not None:
-                    # Legacy shutdown-only export (pre-live-telemetry
-                    # workers driven in-process by tests).
-                    metrics_records, spans = payload
-                    obsbridge.absorb_metrics(
-                        self.obs.registry, metrics_records, worker_id
-                    )
-                    obsbridge.absorb_spans(self.obs.collector, spans)
-        if self._health is not None:
-            self._publish_health(reason="final")
+
+    def _join_workers(self) -> None:
         for process in self._processes:
             process.join(timeout=2.0)
             if process.is_alive():  # pragma: no cover - defensive
                 process.terminate()
                 process.join(timeout=2.0)
-        self._destroy_channels()
-        self._close_health_log()
 
     def _close_health_log(self) -> None:
         if self._health_log is not None:
@@ -492,18 +488,7 @@ class ClusterExecutor:
             if not buffer:
                 continue
             self._buffers[worker_id] = []
-            if self.transport == "shm":
-                self._send_frames(worker_id, buffer)
-            else:
-                # Pre-pickle the batch so transported bytes are measurable
-                # (mp would pickle it invisibly inside the feeder thread).
-                blob = pickle.dumps(
-                    [entry for entry, __ in buffer],
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-                self._inboxes[worker_id].put(("tuples", self.epoch, blob))  # streamlint: disable=SL013 - legacy queue transport kept as the A/B baseline
-                self._outstanding += 1
-                self._account_data(len(blob), path="queue")
+            self._send_frames(worker_id, buffer)
 
     def _send_frames(self, worker_id: int, buffer: list[tuple]) -> None:
         """Encode one worker's buffered deliveries into columnar frames,
@@ -527,7 +512,7 @@ class ClusterExecutor:
                 return
             pushed += 1
             self._outstanding += 1
-            self._account_data(len(frame), path="shm")
+            self._account_data(len(frame))
             self.transport_stats["codec_pickled_bytes"] += stats.pickled_bytes
         if pushed:
             # One doorbell covers the whole send: the worker drains its
@@ -548,7 +533,7 @@ class ClusterExecutor:
         draining is what breaks that hold-and-wait cycle. A worker that
         died mid-backpressure is detected here (its ring is reset by
         recovery; the stale-epoch frame still goes through and is
-        discarded by the reply filter, matching queue-mode semantics).
+        discarded by the reply filter).
         """
         if ring.try_push(frame):
             return
@@ -574,11 +559,11 @@ class ClusterExecutor:
                 )
             time.sleep(0.0005)  # streamlint: disable=SL010 - bounded backpressure wait
 
-    def _account_data(self, nbytes: int, path: str, frames: int = 1) -> None:
-        self.transport_stats[f"data_bytes_{path}"] += nbytes
+    def _account_data(self, nbytes: int, frames: int = 1) -> None:
+        self.transport_stats["data_bytes_shm"] += nbytes
         self.transport_stats["data_frames"] += frames
         if self._m_bytes is not None:
-            self._m_bytes.labels(path=path).inc(nbytes)
+            self._m_bytes.inc(nbytes)
             self._m_frames.inc(frames)
 
     # -- live telemetry ----------------------------------------------------
@@ -852,7 +837,7 @@ class ClusterExecutor:
                 if self._channels[dest].inbox.try_push(frame):
                     self._outstanding += 1
                     rang.add(dest)
-                    self._account_data(len(frame), path="shm")
+                    self._account_data(len(frame))
                 else:
                     __, entries, khashes = columnar.decode_entries(
                         frame, self._comp_names
@@ -947,38 +932,28 @@ class ClusterExecutor:
         if kind == "done":
             self._outstanding -= 1
             self._apply_reply(payload)
-        elif kind == "stopped":  # pragma: no cover - defensive
-            pass
-        else:  # pragma: no cover - defensive
+        elif kind == "error":
+            self._fail_run(worker_id, payload)
+        elif kind != "stopped":  # pragma: no cover - defensive
             raise ExecutionError(f"unexpected worker reply {kind!r} mid-run")
         return True
+
+    def _fail_run(self, worker_id: int, message: str) -> None:
+        """A worker reported an operator error: deterministic, so never a
+        crash to recover from or a message to replay — the run is over."""
+        self._worker_error = f"worker {worker_id}: {message}"
+        raise ExecutionError(self._worker_error)
 
     def _apply_reply(self, payload: dict) -> None:
         for component, count in payload["processed"].items():
             self.metrics.components[f"bolt:{component}"].processed += count
         for component, count in payload["emitted"].items():
             self.metrics.components[f"bolt:{component}"].emitted += count
-        # Remote entries ride the reply itself under the queue transport
-        # (as a pre-pickled blob of (dest, entry) pairs, or a plain list
-        # when a ClusterWorker is driven in-process by tests); under shm
-        # they arrived on the outbox ring and were forwarded by
-        # _drain_outbox_rings already.
-        remote = payload.get("remote")
-        if remote is None and payload.get("remote_blob") is not None:
-            remote = pickle.loads(payload["remote_blob"])
-        for dest, entry in remote or ():
-            self._buffers[dest].append((entry, None))
-        out_bytes = payload.get("out_bytes", 0)
-        if out_bytes:
-            if self.transport == "shm":
-                self._account_data(
-                    out_bytes, path="shm", frames=payload.get("remote_frames", 1)
-                )
-                self.transport_stats["codec_pickled_bytes"] += payload.get(
-                    "out_pickled", 0
-                )
-            else:
-                self._account_data(out_bytes, path="queue")
+        # Remote entries arrived on the outbox ring and were forwarded by
+        # _drain_outbox_rings already; the reply only accounts for them.
+        if payload["out_bytes"]:
+            self._account_data(payload["out_bytes"], frames=payload["remote_frames"])
+            self.transport_stats["codec_pickled_bytes"] += payload["out_pickled"]
         if self._acker is not None:
             for root, delta in payload["deltas"]:
                 if root is None or root not in self._acker._pending:
@@ -1001,43 +976,25 @@ class ClusterExecutor:
             self._spouts[name][part_idx].ack(local_msg)
         root_span = self._trace_roots.pop(root, None)
         if root_span is not None:
-            self._spans.record(
-                Span(
-                    trace_id=root_span.trace_id,
-                    span_id=next_span_id(),
-                    parent_id=root_span.span_id,
-                    component="acker",
-                    kind="ack",
-                    start=time.perf_counter(),
-                    attempt=root_span.attempt,
-                    msg_id=root,
-                )
-            )
+            self._spans.record(lifecycle_span(root_span, "ack", time.perf_counter()))
 
-    def _check_liveness(self) -> None:
-        dead = [
+    def _dead_workers(self) -> list[int]:
+        return [
             worker_id
             for worker_id in range(self.n_workers)
             if not self._processes[worker_id].is_alive()
         ]
+
+    def _check_liveness(self) -> None:
+        dead = self._dead_workers()
         if dead:
             self._handle_crash(dead)
 
     # -- failure handling --------------------------------------------------
 
-    def _event(self, kind: str, component: str = "coordinator") -> None:
-        if self._spans is None:
-            return
-        self._spans.record(
-            Span(
-                trace_id=None,
-                span_id=next_span_id(),
-                parent_id=None,
-                component=component,
-                kind=kind,
-                start=time.perf_counter(),
-            )
-        )
+    def _event(self, kind: str) -> None:
+        if self._spans is not None:
+            self._spans.record(event_span("coordinator", kind, time.perf_counter()))
 
     def _fail_pending(self) -> None:
         """Fail every incomplete tuple tree at cluster idle (timeout).
@@ -1055,16 +1012,7 @@ class ClusterExecutor:
             root_span = self._trace_roots.pop(root, None)
             if root_span is not None:
                 self._spans.record(
-                    Span(
-                        trace_id=root_span.trace_id,
-                        span_id=next_span_id(),
-                        parent_id=root_span.span_id,
-                        component="acker",
-                        kind="fail",
-                        start=time.perf_counter(),
-                        attempt=root_span.attempt,
-                        msg_id=root,
-                    )
+                    lifecycle_span(root_span, "fail", time.perf_counter())
                 )
             if source is None:
                 continue
@@ -1159,11 +1107,7 @@ class ClusterExecutor:
                 kind, worker_id, epoch, payload = self._results_get(0.1)
             except queue_mod.Empty:
                 self._drain_outbox_rings()
-                dead = [
-                    w
-                    for w in range(self.n_workers)
-                    if not self._processes[w].is_alive()
-                ]
+                dead = self._dead_workers()
                 if dead:
                     raise ExecutionError(
                         f"worker(s) {dead} died while awaiting {expected_kind}"
@@ -1179,6 +1123,8 @@ class ClusterExecutor:
                     self._outstanding -= 1
                     self._apply_reply(payload)
                     continue
+                if kind == "error":
+                    self._fail_run(worker_id, payload)
                 raise ExecutionError(
                     f"expected {expected_kind}, got {kind!r} from worker {worker_id}"
                 )
@@ -1218,9 +1164,7 @@ class ClusterExecutor:
         try:
             worker_states = self._await_all("snapshot_ok")
         except ExecutionError:
-            dead = [
-                w for w in range(self.n_workers) if not self._processes[w].is_alive()
-            ]
+            dead = self._dead_workers()
             if dead:  # a crash mid-snapshot: recover, checkpoint next round
                 self._handle_crash(dead)
                 return
@@ -1273,8 +1217,6 @@ class ClusterExecutor:
                 self._service_capture_requests()
                 self._service_rescale_requests()
         self.metrics.wall_seconds = time.perf_counter() - started
-        # Pressure signals land in the façade summary() for both
-        # transports (queue runs just report 0 ring occupancy).
         self.metrics.backpressure_waits = self.transport_stats[
             "backpressure_waits"
         ]
@@ -1285,6 +1227,8 @@ class ClusterExecutor:
     def _pump(self) -> None:
         """Feed spouts and absorb replies until the cluster is quiescent."""
         while True:
+            if self._worker_error is not None:
+                raise ExecutionError(self._worker_error)
             if self._recover_requested:
                 self._handle_crash([])  # loss-triggered rollback, no death
             self._maybe_publish_health()
@@ -1342,11 +1286,7 @@ class ClusterExecutor:
                     kind, worker_id, epoch, payload = self._results_get(0.1)
                 except queue_mod.Empty:
                     self._drain_outbox_rings()
-                    dead = [
-                        w
-                        for w in range(self.n_workers)
-                        if not self._processes[w].is_alive()
-                    ]
+                    dead = self._dead_workers()
                     if dead:
                         self._handle_crash(dead)
                         raise _FlushInterrupted(name)
@@ -1362,6 +1302,8 @@ class ClusterExecutor:
                 elif kind == "done":
                     self._outstanding -= 1
                     self._apply_reply(payload)
+                elif kind == "error":
+                    self._fail_run(worker_id, payload)
             self._flush_buffers()
             self._drain_outstanding()
             if self._recover_requested:

@@ -49,8 +49,6 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Any, Iterator
 
-import queue as queue_mod
-
 from repro.common.exceptions import (
     ExecutionError,
     ParameterError,
@@ -195,35 +193,14 @@ def _capture_all(executor: Any) -> dict[tuple[str, int], bytes | None]:
 def _stop_workers(executor: Any) -> None:
     """Stop the old worker set cleanly and seal its telemetry streams.
 
-    Mirrors :meth:`ClusterExecutor.close` minus the channel teardown:
-    final telemetry flushes are absorbed, then every incarnation is
-    sealed so the respawned set's fresh counters stack on the right
-    base. A worker that dies mid-stop is simply dropped — its state was
-    captured at the barrier, so nothing is lost.
+    :meth:`ClusterExecutor.close` minus the channel teardown: final
+    telemetry flushes are absorbed, then every incarnation is sealed so
+    the respawned set's fresh counters stack on the right base. A worker
+    that dies mid-stop is simply dropped — its state was captured at the
+    barrier, so nothing is lost.
     """
-    alive = [
-        w for w in range(executor.n_workers) if executor._processes[w].is_alive()
-    ]
-    for worker_id in alive:
-        executor._inboxes[worker_id].put(("stop", executor.epoch))
-    pending = set(alive)
-    deadline = time.perf_counter() + executor.reply_timeout
-    while pending and time.perf_counter() < deadline:
-        executor._discard_outbox_frames()
-        try:
-            kind, worker_id, __, payload = executor._results_get(0.1)
-        except queue_mod.Empty:
-            pending = {w for w in pending if executor._processes[w].is_alive()}
-            continue
-        if kind == "telemetry":
-            executor._absorb_telemetry(worker_id, payload)
-        elif kind == "stopped":
-            pending.discard(worker_id)
-    for process in executor._processes:
-        process.join(timeout=2.0)
-        if process.is_alive():  # pragma: no cover - defensive
-            process.terminate()
-            process.join(timeout=2.0)
+    executor._stop_workers()
+    executor._join_workers()
     if executor._absorber is not None:
         for worker_id in range(executor.n_workers):
             executor._absorber.seal_worker(worker_id)
@@ -252,16 +229,13 @@ def _rewire(
     executor.max_outstanding = max(
         1, round(executor.max_outstanding * new_workers / old_workers)
     )
-    if executor.transport == "shm":
-        for worker_id in range(min(old_workers, new_workers)):
-            executor._channels[worker_id].reset()
-        for worker_id in range(new_workers, old_workers):
-            executor._channels[worker_id].destroy()
-        del executor._channels[new_workers:]
-        for worker_id in range(old_workers, new_workers):
-            executor._channels.append(
-                ShmChannel(worker_id, executor.ring_capacity)
-            )
+    for worker_id in range(min(old_workers, new_workers)):
+        executor._channels[worker_id].reset()
+    for worker_id in range(new_workers, old_workers):
+        executor._channels[worker_id].destroy()
+    del executor._channels[new_workers:]
+    for worker_id in range(old_workers, new_workers):
+        executor._channels.append(ShmChannel(worker_id, executor.ring_capacity))
     for inbox in executor._inboxes:
         inbox.cancel_join_thread()
     executor._inboxes = []

@@ -4,20 +4,19 @@ A worker owns the bolt tasks its :class:`~repro.cluster.plan.ShardPlan`
 assigned to it (Storm worker slots). Its life is a message loop over the
 inbox queue:
 
-``tuples`` / ``frames``
-    A batch of deliveries ``(component, task, values, root, tuple_id, …)``.
-    Under the queue transport the batch rides the message itself (as a
-    pre-pickled blob, so the coordinator can account transported bytes);
-    under the shm transport the message is only a *doorbell* — the actual
-    batch is a columnar frame (:mod:`repro.cluster.columnar`) popped off
-    the worker's shared-memory inbox ring (:mod:`repro.cluster.shm`).
-    The worker processes each delivery through the owning bolt; emissions
-    are routed with the worker's own grouping instances — targets the
-    worker owns go onto the *local* deque (no process hop, the
-    shard-affinity fast path), remote targets are buffered and returned
-    to the coordinator for re-routing (via the outbox ring under shm).
-    The reply carries XOR ack deltas per tuple tree, so the coordinator's
-    acker tracks completion without per-hop round trips.
+``frames``
+    A *doorbell*: batches of deliveries ``(component, task, values, root,
+    tuple_id, trace)`` wait as columnar frames (:mod:`repro.cluster.columnar`)
+    on the worker's shared-memory inbox ring (:mod:`repro.cluster.shm`).
+    Each delivery runs through the worker's
+    :class:`~repro.platform.runner.TaskRunner` — the same operator loop
+    the local executor drives. The runner hands every routed copy to the
+    worker's ``deliver``: targets the worker owns go onto the *local*
+    deque (no process hop, the shard-affinity fast path), remote targets
+    are buffered and leave on the outbox ring for the coordinator to
+    forward. The reply carries the runner's XOR ack deltas per tuple
+    tree, so the coordinator's acker tracks completion without per-hop
+    round trips.
 ``snapshot`` / ``restore``
     Checkpoint capture/rollback: every owned bolt's ``snapshot()`` is
     shipped as :mod:`repro.core.stateship` bytes; restore rebuilds fresh
@@ -25,7 +24,12 @@ inbox queue:
 ``flush`` / ``query`` / ``stop``
     End-of-stream flushing per component (fault injection suspended, as in
     the local executor), merge-on-query state capture, and shutdown with a
-    final metrics/span export.
+    final forced telemetry flush.
+
+A bolt that raises is not a crash: the runner's
+:class:`~repro.common.exceptions.ExecutionError` goes home as a typed
+``("error", worker_id, epoch, message)`` reply and the worker keeps
+serving its inbox (so ``stop`` still reaps it).
 
 Crash injection rides the same :class:`~repro.platform.faults.FaultInjector`
 contract as the local executor: ``should_drop`` loses deliveries in
@@ -44,7 +48,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import pickle
 import queue
 import time
 from collections import deque
@@ -55,11 +58,12 @@ from repro.common.rng import derive_seed
 from repro.core import stateship
 from repro.obs.live import DeltaExporter
 from repro.obs.metrics import MetricRegistry
-from repro.obs.tracing import Span, next_span_id
+from repro.obs.tracing import Span
 from repro.platform.faults import NO_FAULTS, FaultInjector
+from repro.platform.runner import TaskRunner
 from repro.platform.topology import Topology
 
-from repro.cluster import columnar, obsbridge
+from repro.cluster import columnar
 from repro.cluster.plan import ShardPlan
 
 #: Exit code used by injected crashes (distinguishable from real faults).
@@ -87,26 +91,25 @@ class ClusterWorker:
         event_time_fn=None,
     ):
         self.worker_id = worker_id
-        self.topology = topology
         self.plan = plan
-        self.faults = faults or NO_FAULTS
         self.telemetry_interval = telemetry_interval
         self.epoch = 0
-        self._next_tuple_id = _tuple_id_factory(worker_id)
-        self._shards = plan.tasks_of(worker_id)
-        self._bolts: dict[tuple[str, int], Any] = {}
-        self._build_bolts()
         self._local: deque = deque()
-        self._in_flush = False
-        # Per-envelope reply state.
+        # Per-envelope reply state (the runner holds deltas and counts).
         self._remote: list[tuple] = []
-        self._deltas: dict[int, int] = {}
         self._lost = 0
-        self._processed_by_component: dict[str, int] = {}
-        self._emitted_by_component: dict[str, int] = {}
-        # Observability (private plane, exported through the bridge).
+        # Observability (private plane, streamed home as telemetry).
         self.registry = MetricRegistry() if observe else None
         self.spans: list[Span] = []
+        self._runner = TaskRunner(
+            topology,
+            plan.tasks_of(worker_id),
+            next_tuple_id=_tuple_id_factory(worker_id),
+            faults=faults or NO_FAULTS,
+            deliver=self._deliver,
+            on_lost=self._count_lost,
+            record_span=self.spans.append,
+        )
         # Live telemetry: change-only flushes plus per-component frontiers
         # (highest root id fully processed → offset-unit watermarks; an
         # event_time_fn lifts them into event-time units). All of it is
@@ -139,109 +142,48 @@ class ClusterWorker:
                 "Deliveries per inbox envelope",
             )
 
-    def _build_bolts(self) -> None:
-        for name, task in self._shards:
-            comp = self.topology.components[name]
-            bolt = comp.factory()
-            bolt.prepare(task, comp.parallelism)
-            self._bolts[(name, task)] = bolt
+    # -- the runner's hooks -------------------------------------------------
 
-    # -- routing ----------------------------------------------------------
+    def _deliver(self, entry: tuple) -> None:
+        dest = self.plan.worker_of(entry[0], entry[1])
+        if dest == self.worker_id:
+            self._local.append(entry)
+        else:
+            # Tagged with the destination so the coordinator can forward
+            # whole frames without decoding (star transport's second hop
+            # as a byte copy).
+            self._remote.append((dest, entry))
 
-    def _route(self, source: str, values: tuple, root, trace) -> int:
-        """Worker-side fan-out of one emission; returns delivered copies.
-
-        Local targets go straight onto the local deque; remote targets are
-        buffered for the coordinator. Every copy's tuple id is XORed into
-        the root's ack delta *at emit* (anchoring) — including copies the
-        fault injector then loses in transit. A dropped copy is anchored
-        but never consumed, so its id is never XORed back out, the tree
-        never completes, and the coordinator times out and replays: exactly
-        Storm's at-least-once contract.
-        """
-        delivered = 0
-        for consumer, grouping in self.topology.consumers_of(source):
-            comp = self.topology.components[consumer]
-            for task in grouping.targets_batch([values], comp.parallelism)[0]:
-                tuple_id = self._next_tuple_id()
-                if root is not None:
-                    self._deltas[root] = self._deltas.get(root, 0) ^ tuple_id
-                if not self._in_flush and self.faults.should_drop():
-                    self._lost += 1
-                    continue
-                entry = (consumer, task, values, root, tuple_id, trace)
-                dest = self.plan.worker_of(consumer, task)
-                if dest == self.worker_id:
-                    self._local.append(entry)
-                else:
-                    # Tagged with the destination so the coordinator can
-                    # forward whole frames without decoding (star
-                    # transport's second hop as a byte copy).
-                    self._remote.append((dest, entry))
-                delivered += 1
-        return delivered
+    def _count_lost(self) -> None:
+        self._lost += 1
 
     # -- processing -------------------------------------------------------
 
-    def _process_entry(self, entry: tuple) -> None:
-        component, task, values, root, tuple_id, trace = entry
-        bolt = self._bolts[(component, task)]
-        emitted: list[tuple] = []
-        emit = lambda *vals: emitted.append(vals)  # noqa: E731 - hot path
-        span = None
-        if trace is not None and self.registry is not None:
-            trace_id, parent_span, attempt = trace
-            started = time.perf_counter()
-            span = Span(
-                trace_id=trace_id,
-                span_id=next_span_id(),
-                parent_id=parent_span,
-                component=f"bolt:{component}",
-                kind="process",
-                start=started,
-                attempt=attempt,
-                task=task,
-                msg_id=root,
-            )
-        bolt.process(values, emit)
-        if span is not None:
-            span.duration = time.perf_counter() - span.start
-            self.spans.append(span)
-            trace = (span.trace_id, span.span_id, span.attempt)
-        self._processed_by_component[component] = (
-            self._processed_by_component.get(component, 0) + 1
-        )
-        if self.registry is not None:
-            self._processed_total += 1
-            # Frontier tracking for event-time watermarks: root ids are
-            # coordinator-issued and monotone, so "highest root fully
-            # processed" is this shard's offset-unit frontier.
-            if root is not None and root > self._frontier.get(component, 0):
-                self._frontier[component] = root
-            if self._event_time_fn is not None:
-                event_time = self._event_time_fn(component, values)
-                if event_time is not None and event_time > self._event_frontier.get(
-                    component, float("-inf")
-                ):
-                    self._event_frontier[component] = event_time
-        fan_out = 0
-        for values_out in emitted:
-            self._emitted_by_component[component] = (
-                self._emitted_by_component.get(component, 0) + 1
-            )
-            fan_out += self._route(component, values_out, root, trace)
-        if span is not None:
-            span.fan_out = fan_out
-        if root is not None:
-            # XOR out the consumed tuple id (Storm's acker algebra).
-            self._deltas[root] = self._deltas.get(root, 0) ^ tuple_id
-        if self.faults.note_processed():
-            os._exit(CRASH_EXIT_CODE)
+    def _track_frontier(self, entry: tuple) -> None:
+        """Watermark inputs: root ids are coordinator-issued and monotone,
+        so "highest root fully processed" is this shard's offset-unit
+        frontier."""
+        component, root = entry[0], entry[3]
+        self._processed_total += 1
+        if root is not None and root > self._frontier.get(component, 0):
+            self._frontier[component] = root
+        if self._event_time_fn is not None:
+            event_time = self._event_time_fn(component, entry[2])
+            if event_time is not None and event_time > self._event_frontier.get(
+                component, float("-inf")
+            ):
+                self._event_frontier[component] = event_time
 
-    def _drain_local(self) -> int:
+    def _drain_local(self) -> None:
         n = 0
+        process = self._runner.process
+        observed = self.registry is not None
         while self._local:
-            self._process_entry(self._local.popleft())
+            entry = self._local.popleft()
+            if process(entry):
+                os._exit(CRASH_EXIT_CODE)  # injected crash: a genuinely dead process
+            if observed:
+                self._track_frontier(entry)
             n += 1
             # A single frame can hold thousands of small tuples: without
             # this mid-drain tick a worker could process (and crash
@@ -250,7 +192,6 @@ class ClusterWorker:
             # one modulo; the time check lives behind the gate.
             if n % 128 == 0 and self.telemetry_sink is not None:
                 self.maybe_ship_telemetry()
-        return n
 
     def maybe_ship_telemetry(self) -> None:
         """Gated flush straight to :attr:`telemetry_sink` (no-op without one)."""
@@ -259,21 +200,29 @@ class ClusterWorker:
             if payload is not None:
                 self.telemetry_sink(payload)
 
-    def _reply_payload(self, n_delivered: int) -> dict[str, Any]:
+    def _reply_payload(self) -> dict[str, Any]:
+        runner = self._runner
         reply = {
-            "n": n_delivered,
             "remote": self._remote,  # (dest_worker, entry) pairs
-            "deltas": list(self._deltas.items()),
+            "deltas": list(runner.deltas.items()),
             "lost": self._lost,
-            "processed": dict(self._processed_by_component),
-            "emitted": dict(self._emitted_by_component),
+            "processed": runner.processed,
+            "emitted": runner.emitted,
         }
         self._remote = []
-        self._deltas = {}
         self._lost = 0
-        self._processed_by_component = {}
-        self._emitted_by_component = {}
+        runner.deltas = {}
+        runner.processed = {}
+        runner.emitted = {}
         return reply
+
+    def clear_in_flight(self) -> None:
+        """Forget queued work and half-built reply state (rollback, or an
+        envelope abandoned to an operator error)."""
+        self._local.clear()
+        self._remote = []
+        self._lost = 0
+        self._runner.deltas = {}
 
     # -- message handlers -------------------------------------------------
 
@@ -281,37 +230,24 @@ class ClusterWorker:
         """Process an inbox envelope and its whole local cascade."""
         if self.registry is not None:
             self._m_batch.observe(len(entries))
-        for entry in entries:
-            self._local.append(entry)
-        n = self._drain_local()
+        self._local.extend(entries)
+        self._drain_local()
         if self.registry is not None:
-            for component, count in self._processed_by_component.items():
+            for component, count in self._runner.processed.items():
                 self._m_processed.labels(component=component).inc(count)
-            for component, count in self._emitted_by_component.items():
+            for component, count in self._runner.emitted.items():
                 self._m_emitted.labels(component=component).inc(count)
-        return self._reply_payload(n)
+        return self._reply_payload()
 
     def handle_flush(self, component: str) -> dict[str, Any]:
         """End-of-stream flush of this worker's shards of *component*."""
-        self._in_flush = True
-        try:
-            for name, task in self._shards:
-                if name != component:
-                    continue
-                bolt = self._bolts[(name, task)]
-                emitted: list[tuple] = []
-                bolt.flush(lambda *vals: emitted.append(vals))
-                for values in emitted:
-                    self._route(component, values, None, None)
-            self._drain_local()
-            return self._reply_payload(0)
-        finally:
-            self._in_flush = False
+        self._runner.flush(component, self._drain_local)
+        return self._reply_payload()
 
     def handle_snapshot(self) -> dict[tuple[str, int], bytes | None]:
         """Capture every owned bolt's checkpoint state as shipped bytes."""
         out: dict[tuple[str, int], bytes | None] = {}
-        for key, bolt in self._bolts.items():
+        for key, bolt in self._runner.bolts.items():
             state = bolt.snapshot()
             out[key] = None if state is None else stateship.capture({"state": state})
         return out
@@ -320,12 +256,9 @@ class ClusterWorker:
         """Roll every owned bolt back to the shipped checkpoint (fresh
         factory state when the checkpoint predates the bolt's first
         snapshot or no checkpoint exists)."""
-        self._local.clear()
-        self._remote = []
-        self._deltas = {}
-        self._lost = 0
-        self._build_bolts()  # fresh instances, factory-supplied callables
-        for key, bolt in self._bolts.items():
+        self.clear_in_flight()
+        self._runner.build_bolts()  # fresh instances, factory-supplied callables
+        for key, bolt in self._runner.bolts.items():
             payload = states.get(key)
             if payload is not None:
                 bolt.restore(stateship.restore(payload)["state"])
@@ -333,19 +266,11 @@ class ClusterWorker:
     def handle_query(self, component: str | None) -> dict[tuple[str, int], bytes]:
         """Ship the requested shards' snapshot state (merge-on-query)."""
         out: dict[tuple[str, int], bytes] = {}
-        for (name, task), bolt in self._bolts.items():
+        for (name, task), bolt in self._runner.bolts.items():
             if component is not None and name != component:
                 continue
             out[(name, task)] = stateship.capture({"state": bolt.snapshot()})
         return out
-
-    def export_obs(self) -> tuple[list[dict], list[Span]]:
-        """Snapshot this worker's metric samples and drain its spans."""
-        metrics = (
-            obsbridge.export_metrics(self.registry) if self.registry is not None else []
-        )
-        spans, self.spans = self.spans, []
-        return metrics, spans
 
     def maybe_flush_telemetry(self, force: bool = False) -> dict[str, Any] | None:
         """Interval-gated delta telemetry flush; None when it is not time.
@@ -371,7 +296,8 @@ class ClusterWorker:
             return None
         self._last_telemetry = now
         records = self._exporter.collect()
-        spans, self.spans = self.spans, []
+        spans = list(self.spans)
+        self.spans.clear()  # in place: the runner holds this list's append
         if not records and not spans and not force:
             return None  # idle worker: don't spam the results queue
         self._telemetry_seq += 1
@@ -421,12 +347,12 @@ def worker_main(
 ) -> None:
     """Child-process entry point: loop over *inbox* until ``stop``.
 
-    Replies go to the shared *results* queue tagged with the worker id and
-    the envelope's epoch, so the coordinator can discard replies from
-    before a rollback. With *channel* (a :class:`repro.cluster.shm.ShmChannel`
-    inherited through fork), tuple batches arrive as columnar frames on
-    the inbox ring — the queue message is just a doorbell — and remote
-    re-route entries leave on the outbox ring instead of riding the reply.
+    Replies go to this worker's *results* queue tagged with the worker id
+    and the envelope's epoch, so the coordinator can discard replies from
+    before a rollback. Tuple batches arrive as columnar frames on
+    *channel*'s inbox ring (a :class:`repro.cluster.shm.ShmChannel`
+    inherited through fork) — the queue message is just a doorbell — and
+    remote re-route entries leave on its outbox ring.
 
     With *telemetry_interval* set (and observation on), the loop also
     streams interval-gated delta telemetry — changed metrics, buffered
@@ -459,39 +385,46 @@ def worker_main(
     )
 
     def ship_remote(reply: dict, epoch: int) -> None:
-        """Move the reply's remote entries onto the data plane, with byte
+        """Move the reply's remote entries onto the outbox ring, with byte
         accounting (``out_bytes`` / ``out_pickled``) for the coordinator's
         transport stats.
 
-        Under shm the entries are bucketed by destination worker and each
-        frame is prefixed with a 2-byte dest id: the coordinator forwards
-        the frame bytes straight into the destination's inbox ring — no
-        decode, no re-encode, just a copy.
+        The entries are bucketed by destination worker and each frame is
+        prefixed with a 2-byte dest id: the coordinator forwards the frame
+        bytes straight into the destination's inbox ring — no decode, no
+        re-encode, just a copy.
         """
-        remote = reply.pop("remote")
-        if channel is None:
-            blob = pickle.dumps(remote, protocol=pickle.HIGHEST_PROTOCOL)
-            reply["remote_blob"] = blob
-            reply["out_bytes"] = len(blob)
-            reply["out_pickled"] = len(blob)
-            return
         frames = out_bytes = out_pickled = 0
-        if remote:
-            by_dest: dict[int, list[tuple]] = {}
-            for dest, entry in remote:
-                by_dest.setdefault(dest, []).append(entry)
-            for dest, entries in by_dest.items():
-                prefix = dest.to_bytes(2, "little")
-                for frame, stats in columnar.encode_frames(
-                    entries, epoch, comp_ids, max_frame
-                ):
-                    _push_outbox(channel.outbox, prefix + frame)
-                    frames += 1
-                    out_bytes += len(frame)
-                    out_pickled += stats.pickled_bytes
+        by_dest: dict[int, list[tuple]] = {}
+        for dest, entry in reply.pop("remote"):
+            by_dest.setdefault(dest, []).append(entry)
+        for dest, entries in by_dest.items():
+            prefix = dest.to_bytes(2, "little")
+            for frame, stats in columnar.encode_frames(
+                entries, epoch, comp_ids, max_frame
+            ):
+                _push_outbox(channel.outbox, prefix + frame)
+                frames += 1
+                out_bytes += len(frame)
+                out_pickled += stats.pickled_bytes
         reply["remote_frames"] = frames
         reply["out_bytes"] = out_bytes
         reply["out_pickled"] = out_pickled
+
+    def run(kind: str, epoch: int, handler, argument) -> None:
+        """One data-plane message: handle, ship re-routes, reply *kind*.
+
+        A bolt that raised is a deterministic operator error, not a crash:
+        report it typed and stay up for the coordinator's ``stop``.
+        """
+        try:
+            reply = handler(argument)
+        except ExecutionError as exc:
+            worker.clear_in_flight()
+            results.put(("error", worker_id, epoch, str(exc)))
+            return
+        ship_remote(reply, epoch)
+        results.put((kind, worker_id, epoch, reply))
 
     while True:
         # bounded wait so the loop keeps coming around even if the
@@ -505,15 +438,7 @@ def worker_main(
             continue
         kind, epoch = message[0], message[1]
         worker.epoch = max(worker.epoch, epoch)
-        if kind == "tuples":
-            entries = message[2]
-            if isinstance(entries, (bytes, bytearray)):
-                entries = pickle.loads(entries)
-            reply = worker.handle_tuples(entries)
-            ship_remote(reply, epoch)
-            results.put(("done", worker_id, epoch, reply))
-            maybe_ship_telemetry()
-        elif kind == "frames":
+        if kind == "frames":
             # Drain *everything* waiting, not just one frame: doorbell and
             # frame counts may skew around crash recovery (a reset ring
             # swallows frames, an aborted send leaves a doorbell-less
@@ -526,9 +451,7 @@ def worker_main(
                     frame, comp_names
                 )
                 worker.epoch = max(worker.epoch, frame_epoch)
-                reply = worker.handle_tuples(entries)
-                ship_remote(reply, frame_epoch)
-                results.put(("done", worker_id, frame_epoch, reply))
+                run("done", frame_epoch, worker.handle_tuples, entries)
                 # Tick the gate per frame, not per drain: a saturated ring
                 # keeps this loop busy for whole checkpoint rounds, and
                 # the span-loss bound (≤ one interval) holds only if the
@@ -536,9 +459,7 @@ def worker_main(
                 maybe_ship_telemetry()
             maybe_ship_telemetry()
         elif kind == "flush":
-            reply = worker.handle_flush(message[2])
-            ship_remote(reply, epoch)
-            results.put(("flush_ok", worker_id, epoch, reply))
+            run("flush_ok", epoch, worker.handle_flush, message[2])
             maybe_ship_telemetry()
         elif kind == "snapshot":
             results.put(("snapshot_ok", worker_id, epoch, worker.handle_snapshot()))

@@ -1,8 +1,6 @@
 """Live delta telemetry: periodic, change-only metric/span shipping.
 
-:mod:`repro.cluster.obsbridge` ships a worker's whole registry once, at
-shutdown. This module is the streaming version — the Heron metrics-manager
-move: each worker keeps a :class:`DeltaExporter` over its private registry
+The Heron metrics-manager move: each worker keeps a :class:`DeltaExporter` over its private registry
 and, at every interval tick, ships only the children whose values changed
 since the last flush. Counters and histograms ship *cumulative* state
 (counters their running value, histograms their full t-digest bytes), so
@@ -11,8 +9,7 @@ reordered flush degrades freshness, never correctness.
 
 The coordinator side is :class:`TelemetryAbsorber`: records land in the
 shared registry under a ``worker`` label with **replace** semantics (the
-shipped value *is* the worker's truth, unlike the accumulate semantics of
-``obsbridge.absorb_metrics``). Histograms are replaced with
+shipped value *is* the worker's truth). Histograms are replaced with
 ``TDigest.from_bytes`` of the shipped bytes — and since
 ``from_bytes(to_bytes())`` round-trips bit-identically, the coordinator's
 per-worker tail quantiles are *exactly* the worker's own, not an estimate
@@ -21,9 +18,8 @@ of an estimate. When a worker dies and is respawned,
 known values into per-child bases so the new incarnation's cumulative
 stream stacks on top instead of erasing history.
 
-Spans ride the same flushes, which is what fixes the obsbridge span-loss
-caveat: a crashed worker now loses at most one flush interval of spans
-(whatever it recorded after its last shipped flush), not everything.
+Spans ride the same flushes: a crashed worker loses at most one flush
+interval of spans (whatever it recorded after its last shipped flush).
 """
 
 from __future__ import annotations
@@ -44,7 +40,7 @@ DEFAULT_FLUSH_INTERVAL = 0.25
 class DeltaExporter:
     """Change-only exporter over one registry (the worker half).
 
-    :meth:`collect` walks the registry and returns ``obsbridge``-shaped
+    :meth:`collect` walks the registry and returns plain, picklable
     records for every child whose value moved since the previous call.
     Counters/gauges ship their current value; histograms ship their full
     t-digest bytes plus count/sum. Shipping cumulative state (not diffs)
@@ -175,8 +171,8 @@ class TelemetryAbsorber:
                     record["count"],
                     record["sum"],
                 )
-            # Unknown kinds are dropped silently, as in obsbridge: a newer
-            # worker build must not wedge an older coordinator.
+            # Unknown kinds are dropped silently: a newer worker build
+            # must not wedge an older coordinator.
         for span in spans:
             if self.collector is not None:
                 self.collector.record(span)

@@ -123,6 +123,32 @@ class Span:
         }
 
 
+def lifecycle_span(root_span: Span, kind: str, start: float) -> Span:
+    """An acker marker (ack/fail/replay) under a traced root's span."""
+    return Span(
+        trace_id=root_span.trace_id,
+        span_id=next_span_id(),
+        parent_id=root_span.span_id,
+        component="acker",
+        kind=kind,
+        start=start,
+        attempt=root_span.attempt,
+        msg_id=root_span.msg_id,
+    )
+
+
+def event_span(component: str, kind: str, start: float) -> Span:
+    """A trace-less lifecycle event (checkpoint/recovery/crash/rescale)."""
+    return Span(
+        trace_id=None,
+        span_id=next_span_id(),
+        parent_id=None,
+        component=component,
+        kind=kind,
+        start=start,
+    )
+
+
 @dataclass
 class SpanNode:
     """One node of a reconstructed span tree."""

@@ -33,17 +33,19 @@ attempt number.
 from __future__ import annotations
 
 import copy
+import itertools
 import time
 from collections import deque
 
 from repro.common.exceptions import ExecutionError, ParameterError
 from repro.obs.context import Observability
-from repro.obs.tracing import Span, next_span_id
+from repro.obs.tracing import Span, event_span, lifecycle_span, next_span_id
 from repro.platform.ack import Acker
 from repro.platform.faults import FaultInjector, NO_FAULTS
 from repro.platform.metrics import ExecutionMetrics
+from repro.platform.runner import TaskRunner
 from repro.platform.topology import Spout, Topology
-from repro.platform.tuples import StreamTuple, next_tuple_id
+from repro.platform.tuples import next_tuple_id
 
 _SEMANTICS = ("at_most_once", "at_least_once", "exactly_once")
 
@@ -83,6 +85,11 @@ def topological_bolt_order(topology) -> list[str]:
     return order
 
 
+def _lost_in_transit() -> None:
+    """Without checkpoints a dropped copy is simply gone; the acker (if
+    any) times its tree out."""
+
+
 class _RecoveryTriggered(Exception):
     """Internal control flow: a loss forced checkpoint recovery, so all
     in-flight work for the current message must be abandoned (it will be
@@ -90,7 +97,13 @@ class _RecoveryTriggered(Exception):
 
 
 class LocalExecutor:
-    """Runs a :class:`~repro.platform.topology.Topology` to completion."""
+    """Runs a :class:`~repro.platform.topology.Topology` to completion.
+
+    Owns one :class:`~repro.platform.runner.TaskRunner` holding every
+    bolt task; what stays here is the owner's side: pulling spouts,
+    issuing roots, choosing which queue runs next, the acker, and the
+    checkpoint/recover/crash policy.
+    """
 
     def __init__(
         self,
@@ -116,73 +129,71 @@ class LocalExecutor:
         self.metrics = ExecutionMetrics(
             registry=obs.registry if obs is not None else None
         )
-        # Tracing shortcuts: both None when observability is off, so the
-        # hot path pays one `is not None` check per hop.
+        # Tracing shortcuts: both None when observability is off.
         self._sampler = obs.sampler if obs is not None else None
         self._spans = obs.collector if obs is not None else None
-        self._trace_attempts: dict[int, int] = {}  # msg_id -> emission count
-        self._trace_roots: dict[int, Span] = {}  # msg_id -> root span (latest)
+        self._trace_attempts: dict[int, int] = {}  # source key -> emission count
+        self._trace_roots: dict[int, Span] = {}  # root -> its spout_emit span
 
-        # Instantiate components.
-        self._spouts: dict[str, Spout] = {}
-        self._bolts: dict[tuple[str, int], object] = {}
-        for comp in topology.components.values():
-            if comp.kind == "spout":
-                self._spouts[comp.name] = comp.factory()
-            else:
-                for task in range(comp.parallelism):
-                    bolt = comp.factory()
-                    bolt.prepare(task, comp.parallelism)
-                    self._bolts[(comp.name, task)] = bolt
-        self._queues: dict[tuple[str, int], deque] = {
-            key: deque() for key in self._bolts
+        self._spouts: dict[str, Spout] = {
+            comp.name: comp.factory()
+            for comp in topology.components.values()
+            if comp.kind == "spout"
         }
+        self._queues: dict[tuple[str, int], deque] = {
+            (comp.name, task): deque()
+            for comp in topology.components.values()
+            if comp.kind == "bolt"
+            for task in range(comp.parallelism)
+        }
+        self._high_water: dict[str, int] = dict.fromkeys(topology.bolt_names, 0)
+        self._runner = TaskRunner(
+            topology,
+            self._queues,
+            next_tuple_id=next_tuple_id,
+            faults=self.faults,
+            deliver=self._deliver,
+            on_lost=self._abandon if semantics == "exactly_once" else _lost_in_transit,
+            record_span=self._spans.record if self._spans is not None else None,
+        )
         self._acker = Acker() if semantics != "at_most_once" else None
+        # Roots are issued from a counter; each maps back to the spout and
+        # spout-local message id that ack/fail/replay caps are about.
+        self._root_counter = itertools.count(1)
+        self._root_sources: dict[int, tuple[str, int]] = {}
         self._start_times: dict[int, float] = {}
-        self._replay_counts: dict[int, int] = {}
+        self._replay_counts: dict[tuple[str, int], int] = {}
         self._checkpoint: dict | None = None
         self._source_pulls = 0
-        self._in_flush = False  # teardown flushes bypass fault injection
 
-    # -- emission / routing ------------------------------------------------
+    # -- the runner's hooks --------------------------------------------------
 
-    def _route(self, source: str, tup: StreamTuple) -> int:
-        """Fan a tuple out to every consumer of *source* per its grouping.
+    def _deliver(self, entry: tuple) -> None:
+        consumer = entry[0]
+        queue = self._queues[(consumer, entry[1])]
+        queue.append(entry)
+        if len(queue) > self._high_water[consumer]:
+            self._high_water[consumer] = len(queue)
 
-        Returns the number of copies enqueued (the emit fan-out recorded
-        on traced spans)."""
-        fan_out = 0
-        traced = tup.trace_id is not None
-        for consumer, grouping in self.topology.consumers_of(source):
-            comp = self.topology.components[consumer]
-            for task in grouping.targets(tup, comp.parallelism):
-                copy_tup = StreamTuple(
-                    values=tup.values,
-                    stream=tup.stream,
-                    msg_id=tup.msg_id,
-                    tuple_id=next_tuple_id(),
-                    timestamp=tup.timestamp,
-                    trace_id=tup.trace_id,
-                    parent_span=tup.parent_span,
-                    attempt=tup.attempt,
-                    enqueued_at=time.perf_counter() if traced else 0.0,
-                )
-                if self._acker is not None and copy_tup.msg_id is not None:
-                    self._acker.anchor(copy_tup.msg_id, copy_tup.tuple_id)
-                if not self._in_flush and self.faults.should_drop():
-                    if self.semantics == "exactly_once":
-                        # A loss is a task failure in this model: restore the
-                        # last checkpoint and abandon the in-flight message
-                        # (the rewound source will replay it).
-                        self._recover()
-                        raise _RecoveryTriggered
-                    continue  # lost in transit
-                self._queues[(consumer, task)].append(copy_tup)
-                fan_out += 1
-                metrics = self.metrics.components[f"bolt:{consumer}"]
-                depth = len(self._queues[(consumer, task)])
-                metrics.queue_high_water = max(metrics.queue_high_water, depth)
-        return fan_out
+    def _abandon(self) -> None:
+        """A loss is a task failure under exactly-once: restore the last
+        checkpoint and abandon the in-flight message (the rewound source
+        replays it)."""
+        self._recover()
+        raise _RecoveryTriggered
+
+    def _fold_counts(self) -> None:
+        """Publish the runner's plain-int counts through the façade."""
+        runner = self._runner
+        for name, count in runner.processed.items():
+            self.metrics.components[f"bolt:{name}"].processed += count
+        for name, count in runner.emitted.items():
+            self.metrics.components[f"bolt:{name}"].emitted += count
+        runner.processed.clear()
+        runner.emitted.clear()
+        for name, depth in self._high_water.items():
+            if depth:
+                self.metrics.components[f"bolt:{name}"].queue_high_water = depth
 
     # -- spout side ----------------------------------------------------------
 
@@ -192,27 +203,25 @@ class LocalExecutor:
         throttled = any(len(q) >= self.max_queue for q in self._queues.values())
         if throttled:
             return False
-        for name, spout in self._spouts.items():
+        reliable = self._acker is not None
+        for index, (name, spout) in enumerate(self._spouts.items()):
             payload = spout.next_tuple()
             if payload is None:
                 continue
             pulled = True
             self._source_pulls += 1
-            msg_id = getattr(spout, "last_offset", self._source_pulls)
-            root = StreamTuple(values=payload, msg_id=msg_id)
             self.metrics.components[f"spout:{name}"].emitted += 1
-            if self._acker is not None:
-                if msg_id not in self._start_times:
-                    self._start_times[msg_id] = time.perf_counter()
-                self._acker.register(msg_id, 0)
-                # Registering with 0 then anchoring children tracks exactly
-                # the set of live descendants.
-            root_span = None
-            if self._sampler is not None and msg_id is not None:
-                trace_id = self._sampler.sample(msg_id)
+            root = next(self._root_counter) if reliable else None
+            local_msg = getattr(spout, "last_offset", self._source_pulls)
+            trace = root_span = None
+            if self._sampler is not None:
+                # Sampling is keyed on the source record, not the root, so
+                # a replay resumes the same trace with a bumped attempt.
+                key = local_msg * len(self._spouts) + index
+                trace_id = self._sampler.sample(key)
                 if trace_id is not None:
-                    attempt = self._trace_attempts.get(msg_id, 0) + 1
-                    self._trace_attempts[msg_id] = attempt
+                    attempt = self._trace_attempts.get(key, 0) + 1
+                    self._trace_attempts[key] = attempt
                     root_span = Span(
                         trace_id=trace_id,
                         span_id=next_span_id(),
@@ -221,14 +230,17 @@ class LocalExecutor:
                         kind="spout_emit",
                         start=time.perf_counter(),
                         attempt=attempt,
-                        msg_id=msg_id,
+                        msg_id=root,
                     )
-                    self._trace_roots[msg_id] = root_span
-                    root.trace_id = trace_id
-                    root.parent_span = root_span.span_id
-                    root.attempt = attempt
+                    trace = (trace_id, root_span.span_id, attempt)
+            if reliable:
+                self._root_sources[root] = (name, local_msg)
+                self._start_times[root] = time.perf_counter()
+                self._acker.register(root, 0)
+                if root_span is not None:
+                    self._trace_roots[root] = root_span
             try:
-                fan_out = self._route(name, root)
+                fan_out, anchor = self._runner.route(name, payload, root, trace)
             except _RecoveryTriggered:
                 continue
             finally:
@@ -236,6 +248,10 @@ class LocalExecutor:
                     # fan_out stays 0 when routing aborted into recovery.
                     root_span.duration = time.perf_counter() - root_span.start
                     self._spans.record(root_span)
+            if reliable:
+                # Registered with 0, then anchoring the copies: the value
+                # tracks exactly the set of live descendants.
+                self._acker.anchor(root, anchor)
             if root_span is not None:
                 root_span.fan_out = fan_out
             if (
@@ -248,186 +264,111 @@ class LocalExecutor:
     # -- bolt side -----------------------------------------------------------
 
     def _process_one(self) -> bool:
-        """Process one queued tuple (longest queue first); True if any."""
-        target = max(self._queues, key=lambda k: len(self._queues[k]), default=None)
-        if target is None or not self._queues[target]:
+        """Process one queued entry (longest queue first); True if any."""
+        queue = max(self._queues.values(), key=len, default=None)
+        if not queue:
             return False
-        name, task = target
-        tup = self._queues[target].popleft()
-        bolt = self._bolts[target]
-        emitted: list[StreamTuple] = []
-
-        def emit(*values):
-            emitted.append(
-                StreamTuple(values=values, msg_id=tup.msg_id, timestamp=tup.timestamp)
-            )
-
-        span = None
-        if tup.trace_id is not None and self._spans is not None:
-            started = time.perf_counter()
-            span = Span(
-                trace_id=tup.trace_id,
-                span_id=next_span_id(),
-                parent_id=tup.parent_span,
-                component=f"bolt:{name}",
-                kind="process",
-                start=started,
-                queue_wait=max(0.0, started - tup.enqueued_at)
-                if tup.enqueued_at
-                else 0.0,
-                attempt=tup.attempt,
-                task=task,
-                msg_id=tup.msg_id,
-            )
         try:
-            bolt.process(tup.values, emit)
-        except Exception as exc:  # noqa: BLE001 - component errors are runtime
-            raise ExecutionError(f"bolt {name!r} failed on {tup.values!r}") from exc
-        if span is not None:
-            span.duration = time.perf_counter() - span.start
-            self._spans.record(span)
-            for out in emitted:
-                out.trace_id = tup.trace_id
-                out.parent_span = span.span_id
-                out.attempt = tup.attempt
-        self.metrics.components[f"bolt:{name}"].processed += 1
-        fan_out = 0
-        try:
-            for out in emitted:
-                self.metrics.components[f"bolt:{name}"].emitted += 1
-                fan_out += self._route(name, out)
+            crashed = self._runner.process(queue.popleft())
         except _RecoveryTriggered:
             return True
-        finally:
-            if span is not None:
-                span.fan_out = fan_out
-        if self._acker is not None and tup.msg_id is not None:
-            done = self._acker.ack(tup.msg_id, tup.tuple_id)
-            if done:
-                self._complete(tup.msg_id)
-        if self.faults.note_processed():
+        if self._acker is not None:
+            deltas = self._runner.deltas
+            for root, delta in deltas.items():
+                if self._acker.ack(root, delta):
+                    self._complete(root)
+            deltas.clear()
+        if crashed:
             self._crash()
         return True
 
-    def _complete(self, msg_id: int) -> None:
+    def _complete(self, root: int) -> None:
         self.metrics.components["spout:__all__"].acked += 1
-        started = self._start_times.pop(msg_id, None)
+        started = self._start_times.pop(root, None)
         if started is not None:
             self.metrics.record_latency(time.perf_counter() - started)
-        root_span = self._trace_roots.pop(msg_id, None)
-        if root_span is not None and self._spans is not None:
-            self._spans.record(
-                Span(
-                    trace_id=root_span.trace_id,
-                    span_id=next_span_id(),
-                    parent_id=root_span.span_id,
-                    component="acker",
-                    kind="ack",
-                    start=time.perf_counter(),
-                    attempt=root_span.attempt,
-                    msg_id=msg_id,
-                )
-            )
-        for spout in self._spouts.values():
-            spout.ack(msg_id)
+        self._trace_lifecycle(self._trace_roots.pop(root, None), "ack")
+        name, local_msg = self._root_sources.pop(root)
+        self._spouts[name].ack(local_msg)
 
     # -- failure handling ------------------------------------------------
 
-    def _trace_lifecycle(self, msg_id: int, kind: str) -> None:
-        """Record a fail/replay span for *msg_id* if it is being traced."""
-        root_span = self._trace_roots.get(msg_id)
-        if root_span is None or self._spans is None:
-            return
-        self._spans.record(
-            Span(
-                trace_id=root_span.trace_id,
-                span_id=next_span_id(),
-                parent_id=root_span.span_id,
-                component="acker",
-                kind=kind,
-                start=time.perf_counter(),
-                attempt=root_span.attempt,
-                msg_id=msg_id,
-            )
-        )
+    def _trace_lifecycle(self, root_span: Span | None, kind: str) -> None:
+        """Record an ack/fail/replay span under a traced root's span."""
+        if root_span is not None:
+            self._spans.record(lifecycle_span(root_span, kind, time.perf_counter()))
 
-    def _event(self, kind: str, component: str = "executor") -> None:
+    def _event(self, kind: str) -> None:
         """Record a trace-less lifecycle event (checkpoint/recovery/crash)."""
-        if self._spans is None:
-            return
-        self._spans.record(
-            Span(
-                trace_id=None,
-                span_id=next_span_id(),
-                parent_id=None,
-                component=component,
-                kind=kind,
-                start=time.perf_counter(),
-            )
-        )
+        if self._spans is not None:
+            self._spans.record(event_span("executor", kind, time.perf_counter()))
 
     def _fail_pending(self) -> None:
-        """Fail every incomplete tuple tree (idle-time timeout)."""
+        """Fail every incomplete tuple tree (idle-time timeout).
+
+        Replay caps are keyed by source record, not root: every replay
+        re-enters the spout and is issued a fresh root.
+        """
         assert self._acker is not None
-        for msg_id in list(self._acker._pending):
-            self._acker.fail(msg_id)
-            self._start_times.pop(msg_id, None)
+        for root in list(self._acker._pending):
+            self._acker.fail(root)
+            self._start_times.pop(root, None)
             self.metrics.components["spout:__all__"].failed += 1
-            self._trace_lifecycle(msg_id, "fail")
-            replays = self._replay_counts.get(msg_id, 0)
+            root_span = self._trace_roots.pop(root, None)
+            self._trace_lifecycle(root_span, "fail")
+            source = self._root_sources.pop(root)
+            replays = self._replay_counts.get(source, 0)
             if replays >= self.max_replays_per_message:
                 continue  # give up: poisoned/unlucky message
-            self._replay_counts[msg_id] = replays + 1
+            self._replay_counts[source] = replays + 1
             self.metrics.replays += 1
-            self._trace_lifecycle(msg_id, "replay")
-            for spout in self._spouts.values():
-                spout.fail(msg_id)
+            self._trace_lifecycle(root_span, "replay")
+            name, local_msg = source
+            self._spouts[name].fail(local_msg)
 
     def _take_checkpoint(self) -> None:
         """Consistent snapshot: drain in-flight work, then copy all state."""
-        while self._process_one():
-            pass
+        self._drain()
         self._checkpoint = {
             "bolts": {
-                key: copy.deepcopy(bolt.snapshot()) for key, bolt in self._bolts.items()
+                key: copy.deepcopy(bolt.snapshot())
+                for key, bolt in self._runner.bolts.items()
             },
             "offsets": {name: spout.offset for name, spout in self._spouts.items()},
         }
         self.metrics.checkpoints += 1
         self._event("checkpoint")
 
+    def _clear_in_flight(self) -> None:
+        for queue in self._queues.values():
+            queue.clear()
+        self._runner.deltas.clear()
+
     def _recover(self) -> None:
         """Restore the last checkpoint and rewind sources."""
         self.metrics.recoveries += 1
         self._event("recovery")
-        for queue in self._queues.values():
-            queue.clear()
-        if self._acker is not None:
-            self._acker = Acker()
+        self._clear_in_flight()
+        self._acker = Acker()
+        self._root_sources.clear()
+        self._trace_roots.clear()
         self._start_times.clear()
-        if self._checkpoint is None:
-            for key, bolt in self._bolts.items():
-                bolt.restore(None)
-            for spout in self._spouts.values():
-                spout.rewind(0)
-            return
-        for key, bolt in self._bolts.items():
-            bolt.restore(copy.deepcopy(self._checkpoint["bolts"][key]))
+        states = self._checkpoint["bolts"] if self._checkpoint else {}
+        for key, bolt in self._runner.bolts.items():
+            bolt.restore(copy.deepcopy(states.get(key)))
         for name, spout in self._spouts.items():
-            spout.rewind(self._checkpoint["offsets"][name])
+            spout.rewind(self._checkpoint["offsets"][name] if self._checkpoint else 0)
 
     def _crash(self) -> None:
         """Simulated worker crash."""
+        self._event("crash")
         if self.semantics == "exactly_once":
-            self._event("crash")
             self._recover()
         else:
             # Without checkpoints, a crash loses all in-flight tuples; bolt
             # state is assumed externally durable (e.g. a store), as in
             # Storm without Trident.
-            self._event("crash")
-            for queue in self._queues.values():
-                queue.clear()
+            self._clear_in_flight()
             if self._acker is not None:
                 self._fail_pending()
 
@@ -449,18 +390,28 @@ class LocalExecutor:
         """
         if budget <= 0:
             raise ParameterError("budget must be positive")
+        more = self._settle(budget, budget)
+        self._fold_counts()
+        return more
+
+    def _settle(self, budget: float, burst: float) -> bool:
+        """Pull and process until *budget* units of work are done (True)
+        or nothing is left to pull, process or replay (False); each pull
+        is followed by at most *burst* processed entries."""
         work = 0
         idle_rounds = 0
         while work < budget:
             progressed = self._pull_spout()
             if progressed:
                 work += 1
-            while work < budget and self._process_one():
+            limit = min(budget, work + burst)
+            while work < limit and self._process_one():
                 progressed = True
                 work += 1
             if progressed:
                 idle_rounds = 0
                 continue
+            # Nothing to pull, nothing queued: settle reliability state.
             if self._acker is not None and self._acker.n_pending:
                 self._fail_pending()
                 idle_rounds += 1
@@ -472,60 +423,24 @@ class LocalExecutor:
 
     def finish(self) -> ExecutionMetrics:
         """End-of-stream flush for a stepped (:meth:`run_some`) run."""
-        self._flush_bolts()
+        # Topological order, so downstream bolts see upstream output.
+        for name in topological_bolt_order(self.topology):
+            self._runner.flush(name, self._drain)
+        self._fold_counts()
         return self.metrics
+
+    def _drain(self) -> None:
+        while self._process_one():
+            pass
 
     def run(self) -> ExecutionMetrics:
         """Execute until sources are exhausted and all work has settled."""
         started = time.perf_counter()
-        idle_rounds = 0
-        while True:
-            progressed = self._pull_spout()
-            # Interleave: drain a burst of queued work per pull.
-            for __ in range(8):
-                if not self._process_one():
-                    break
-                progressed = True
-            if progressed:
-                idle_rounds = 0
-                continue
-            # Nothing to pull, nothing queued: settle reliability state.
-            if self._acker is not None and self._acker.n_pending:
-                self._fail_pending()
-                idle_rounds += 1
-                if idle_rounds > 3:
-                    break
-                continue
-            break
-        # End-of-stream: let bolts flush buffered output (windows etc.).
-        self._flush_bolts()
+        # Interleave: drain a burst of 8 queued entries per pull.
+        self._settle(float("inf"), 8)
+        self.finish()
         self.metrics.wall_seconds = time.perf_counter() - started
         return self.metrics
-
-    def _flush_bolts(self) -> None:
-        # Flush in topological order so downstream bolts see upstream output.
-        self._in_flush = True
-        order = self._topological_bolt_order()
-        for name in order:
-            comp = self.topology.components[name]
-            for task in range(comp.parallelism):
-                bolt = self._bolts[(name, task)]
-                emitted: list[StreamTuple] = []
-
-                def emit(*values):
-                    emitted.append(StreamTuple(values=values, msg_id=None))
-
-                bolt.flush(emit)
-                try:
-                    for out in emitted:
-                        self._route(name, out)
-                except _RecoveryTriggered:
-                    continue
-                while self._process_one():
-                    pass
-
-    def _topological_bolt_order(self) -> list[str]:
-        return topological_bolt_order(self.topology)
 
     # -- inspection ------------------------------------------------------
 
@@ -534,7 +449,7 @@ class LocalExecutor:
         comp = self.topology.components.get(name)
         if comp is None or comp.kind != "bolt":
             raise ParameterError(f"no bolt named {name!r}")
-        return [self._bolts[(name, task)] for task in range(comp.parallelism)]
+        return [self._runner.bolts[(name, task)] for task in range(comp.parallelism)]
 
     def merged_synopsis(self, name: str):
         """Bolt *name*'s per-task synopses folded into one (merge-on-query).

@@ -58,12 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cluster workers (default: %(default)s)",
     )
     parser.add_argument(
-        "--transport",
-        choices=("shm", "queue"),
-        default="shm",
-        help="cluster data plane (default: %(default)s)",
-    )
-    parser.add_argument(
         "--bolt",
         default="sketch",
         help="which bolt's merged synopsis to serve (default: %(default)s)",
@@ -115,7 +109,6 @@ def build_runtime(args: argparse.Namespace) -> ServingRuntime:
             n_workers=args.workers,
             semantics="at_least_once",
             obs=obs,
-            transport=args.transport,
         )
     else:
         from repro.platform.executor import LocalExecutor

@@ -8,7 +8,7 @@ ingest runs underneath, and exits non-zero unless every contract holds:
 * a **non-zero cache hit count** (the seeded Zipf mix must re-ask);
 * clean shutdown — no pending asyncio tasks survive ``stop()``;
 * under ``--executor cluster``, background ingest finishes without an
-  error; under ``--transport shm``, no ``repro_shm_*`` segment leaks.
+  error and no ``repro_shm_*`` segment leaks.
 
 ``--health-log`` appends a final :class:`HealthSnapshot` as JSON lines,
 so CI can render the run through ``repro-obs top --snapshots --once``
@@ -42,7 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--queries", type=int, default=40, metavar="PER_USER")
     parser.add_argument("--executor", choices=("local", "cluster"), default="local")
     parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--transport", choices=("shm", "queue"), default="shm")
     parser.add_argument("--bolt", default=SERVING_BOLT)
     parser.add_argument("--cache-capacity", type=int, default=4_096)
     parser.add_argument("--cache-ttl", type=float, default=5.0)
@@ -91,12 +90,11 @@ def main(argv: list[str] | None = None) -> int:
                     f"background ingest died: {runtime.ingest_error!r}"
                 )
             runtime.executor.close()
-            if args.transport == "shm":
-                from repro.cluster.shm import leaked_segments
+            from repro.cluster.shm import leaked_segments
 
-                leaked_shm = leaked_segments()
-                if leaked_shm:
-                    failures.append(f"leaked shm segments: {leaked_shm}")
+            leaked_shm = leaked_segments()
+            if leaked_shm:
+                failures.append(f"leaked shm segments: {leaked_shm}")
     if result.n_errors:
         failures.append(f"{result.n_errors} query errors in the burst")
     if result.n_cached == 0:

@@ -7,13 +7,17 @@ shard partials, produces state **bit-identical** to the single-process
 approximations.
 """
 
+import time
+
 import pytest
 
 from repro.bench.fingerprint import state_fingerprint
 from repro.cluster.coordinator import ClusterExecutor
+from repro.cluster.shm import leaked_segments
 from repro.common.exceptions import ExecutionError, ParameterError
 from repro.obs.demo import build_demo_topology, demo_records
 from repro.platform.executor import LocalExecutor
+from repro.platform.operators import CountBolt
 from repro.platform.topology import Bolt, ListSpout, Spout, TopologyBuilder
 
 N_RECORDS = 600
@@ -121,6 +125,8 @@ class TestApiContract:
             ClusterExecutor(topology, checkpoint_interval=0)
         with pytest.raises(ParameterError):
             ClusterExecutor(topology, batch_size=0)
+        with pytest.raises(ParameterError):
+            ClusterExecutor(topology, transport="queue")  # the deleted plane
 
     def test_unsplittable_parallel_spout_rejected(self):
         class _Fixed(Spout):
@@ -137,6 +143,68 @@ class TestApiContract:
         builder.set_bolt("sink", _Sink).shuffle("src")
         with pytest.raises(ExecutionError):
             ClusterExecutor(builder.build(), n_workers=2)
+
+
+SEMANTICS = ("at_most_once", "at_least_once", "exactly_once")
+
+
+def _two_spout_topology():
+    builder = TopologyBuilder()
+    builder.set_spout("left", lambda: ListSpout(["x", "y", "x"] * 20))
+    builder.set_spout("right", lambda: ListSpout(["y", "z"] * 30))
+    count = builder.set_bolt(
+        "count", lambda: CountBolt(0, emit_updates=False), parallelism=2
+    )
+    count.fields("left", 0).fields("right", 0)
+    return builder.build()
+
+
+class TestTwoSpouts:
+    """Both executors issue roots from a counter: two spouts whose local
+    offsets both start at 0 must not collide in the acker."""
+
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    def test_local_equals_cluster(self, semantics):
+        local = LocalExecutor(_two_spout_topology(), semantics=semantics)
+        local.run()
+        local_counts: dict = {}
+        for bolt in local.bolt_instances("count"):
+            local_counts.update(bolt.counts)
+        with ClusterExecutor(
+            _two_spout_topology(), n_workers=2, semantics=semantics
+        ) as cluster:
+            cluster.run()
+            cluster_counts = _merged_counts(cluster)
+        assert local_counts == cluster_counts == {"x": 40, "y": 50, "z": 30}
+
+
+class _Poison(Bolt):
+    def process(self, values, emit):
+        if values[0] == 13:
+            raise ValueError("boom")
+
+
+class TestOperatorErrors:
+    """A bolt that raises is a deterministic failure, not a crash: it
+    surfaces as ExecutionError — no respawn, no replay storm, no hang."""
+
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    def test_poison_bolt_raises_promptly(self, semantics):
+        builder = TopologyBuilder()
+        builder.set_spout("src", lambda: ListSpout(list(range(40))))
+        builder.set_bolt("bad", _Poison, parallelism=2).shuffle("src")
+        executor = ClusterExecutor(
+            builder.build(), n_workers=2, semantics=semantics, reply_timeout=10.0
+        )
+        started = time.perf_counter()
+        with executor:
+            with pytest.raises(ExecutionError, match=r"bolt 'bad' failed on \(13,\)"):
+                executor.run()
+        assert time.perf_counter() - started < 10.0
+        summary = executor.metrics.summary()
+        assert summary["replays"] == 0 and summary["recoveries"] == 0
+        assert not any(process.is_alive() for process in executor._processes)
+        assert leaked_segments() == []
 
 
 class TestCli:

@@ -58,6 +58,24 @@ class TestDeltaAbsorption:
         assert sum(w.flushes for w in health.workers) >= 3
         assert all(w.flushes >= 1 for w in health.workers)
 
+    def test_worker_spans_reach_the_coordinator_collector(self):
+        records = demo_records(300, 7)
+        obs = Observability.create(sample_rate=1.0, seed=7)
+        executor = ClusterExecutor(
+            build_demo_topology(records),
+            n_workers=2,
+            semantics="at_least_once",  # tracing rides the reliable path
+            obs=obs,
+            telemetry_interval=INTERVAL,
+        )
+        with executor:
+            executor.run()
+        process_spans = [s for s in obs.collector.spans if s.kind == "process"]
+        assert {s.component for s in process_spans} >= {"bolt:split", "bolt:count"}
+        # Every process span hangs off a span the collector also holds.
+        known = {s.span_id for s in obs.collector.spans}
+        assert all(s.parent_id in known for s in process_spans)
+
     def test_final_snapshot_is_settled(self):
         records = demo_records(1_000, 11)
         obs = Observability.create(sample_rate=0.0, seed=11)

@@ -1,8 +1,8 @@
 """Shared-memory transport, end to end: equivalence, backpressure, leaks.
 
 The shm data plane must be *invisible*: for every worker count and every
-semantics rung, merged state under ``transport="shm"`` is bit-identical
-to the single-process run and to the queue transport. On top of that it
+semantics rung, merged state is bit-identical to the single-process
+run. On top of that it
 must be honest (byte accounting proves the data plane is pickle-free)
 and clean (no ``/dev/shm`` segment survives the executor — clean
 shutdown or injected crash alike).
@@ -105,20 +105,9 @@ class TestByteAccounting:
             stats = dict(executor.transport_stats)
         assert stats["transport"] == "shm"
         assert stats["data_bytes_shm"] > 0
-        assert stats["data_bytes_queue"] == 0  # queues carry control only
         assert stats["data_frames"] > 0
         # Demo payloads are all-str columns: nothing fell back to pickle.
         assert stats["codec_pickled_bytes"] == 0
-
-    def test_queue_transport_accounts_symmetrically(self, records):
-        with ClusterExecutor(
-            build_demo_topology(records), n_workers=2, transport="queue"
-        ) as executor:
-            executor.run()
-            stats = dict(executor.transport_stats)
-        assert stats["transport"] == "queue"
-        assert stats["data_bytes_queue"] > 0
-        assert stats["data_bytes_shm"] == 0
 
 
 class TestBackpressure:

@@ -110,6 +110,41 @@ class TestTelemetryAbsorber:
             for q in (0.01, 0.5, 0.9, 0.99, 0.999):
                 assert mirror.quantile(q) == hist.quantile(q)
 
+    def test_gauge_lands_under_worker_label(self):
+        source, target = MetricRegistry(), MetricRegistry()
+        source.gauge("depth").set(7.5)
+        TelemetryAbsorber(target).absorb(0, DeltaExporter(source).collect())
+        (sample,) = target.get("depth").samples()
+        assert sample.value == 7.5
+        assert ("worker", "0") in sample.labels
+
+    def test_same_metric_from_two_workers_stays_apart(self):
+        target = MetricRegistry()
+        absorber = TelemetryAbsorber(target)
+        for worker, offset in ((0, 0.0), (1, 100.0)):
+            source = MetricRegistry()
+            family = source.counter("m_total", labelnames=("component",))
+            family.labels(component="a").inc(3 + worker)
+            hist = source.histogram("lat_seconds")
+            for i in range(50):
+                hist.observe(offset + i)
+            absorber.absorb(worker, DeltaExporter(source).collect())
+        values = {s.labels: s.value for s in target.get("m_total").samples()}
+        assert values[(("worker", "0"), ("component", "a"))] == 3
+        assert values[(("worker", "1"), ("component", "a"))] == 4
+        children = dict(target.get("lat_seconds")._label_tuples())
+        assert children[(("worker", "0"),)].count == 50
+        # the digest really crossed: worker 1's quantiles live in its range
+        assert children[(("worker", "1"),)].digest.quantile(0.5) >= 100.0
+
+    def test_unknown_kind_dropped_silently(self):
+        target = MetricRegistry()
+        TelemetryAbsorber(target).absorb(
+            0,
+            [{"name": "m", "kind": "summary", "help": "", "labelnames": [], "labels": {}}],
+        )
+        assert "m" not in target.names()
+
     def test_spans_ride_flushes(self):
         collector = SpanCollector()
         absorber = TelemetryAbsorber(MetricRegistry(), collector)

@@ -65,7 +65,7 @@ class TestClusterRows:
             assert row["n_workers"] == 2
             assert row["telemetry_interval"] > 0
             assert row["telemetry_flushes"] >= 2  # one forced flush/worker
-            assert row["data_bytes_queue"] == 0  # shm plane stayed pickle-free
+            assert row["codec_pickled_bytes"] == 0  # shm plane stayed pickle-free
 
     def test_streaming_telemetry_preserves_state(self, payload):
         rows = [r for r in payload["results"] if "cluster_demo" in r["synopsis"]]
