@@ -21,7 +21,6 @@ is honoured automatically (``--no-baseline`` opts out,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -35,6 +34,7 @@ from repro.analysis.cache import DEFAULT_CACHE_NAME
 from repro.analysis.engine import all_rules, run_analysis
 from repro.analysis.findings import Severity
 from repro.analysis.reporters import REPORTERS, render_sarif
+from repro.common.cpus import available_cpu_count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_jobs(value: str) -> int:
     if value == "auto":
-        return max(1, os.cpu_count() or 1)
+        return available_cpu_count()
     jobs = int(value)
     if jobs < 1:
         raise ValueError("--jobs must be >= 1 or 'auto'")

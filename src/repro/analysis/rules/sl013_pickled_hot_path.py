@@ -1,9 +1,9 @@
 """SL013 — pickled bulk data shipped through queues in cluster hot loops.
 
 The cluster's original data plane pickled every tuple batch through a
-``multiprocessing`` queue; the scaling bench showed that serialization
-alone capped speedup (the BENCH_cluster inversion the shm transport was
-built to fix). This rule is the lint that would have caught it: inside
+``multiprocessing`` queue; the since-retired cluster scaling bench showed
+that serialization alone capped speedup (the inversion the shm transport
+was built to fix). This rule is the lint that would have caught it: inside
 ``cluster/`` loop bodies, a ``.put(...)`` whose payload is pickled bytes
 (``pickle.dumps`` inline or via a local name) or a numpy array is bulk
 *data* riding the control plane — it belongs on the shared-memory rings
@@ -12,7 +12,7 @@ messages (doorbells, acks, barriers).
 
 Module-scoped and restricted to ``cluster/``: elsewhere a pickled put is
 usually a one-shot handoff, not a per-batch hot path. That pickled plane
-is gone (its numbers stay in the committed ``BENCH_cluster.json``), and
+is gone (its last numbers are in EXPERIMENTS.md, "Retired suites"), and
 with it the one suppression this rule ever had in the tree.
 """
 

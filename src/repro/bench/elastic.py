@@ -1,30 +1,31 @@
 """The elasticity bench: does autoscaling beat fixed provisioning?
 
 ``repro-bench --elastic`` drives the seeded traffic-spike workload
-(:mod:`repro.workloads.spike`) through two clusters over *identical*
-records:
+(:mod:`repro.workloads.spike`) through two arms of one case over
+*identical* records:
 
-* **fixed** — a :class:`ClusterExecutor` frozen at the starting shape
+* ``fixed`` — a :class:`ClusterExecutor` frozen at the starting shape
   (1 worker, parallelism 1): the "provisioned for the calm" cluster the
   paper's spike scenario punishes;
-* **elastic** — the same cluster started identically but running a
+* ``elastic`` — the same cluster started identically but running a
   :class:`~repro.cluster.elastic.autoscaler.BackpressureAutoscaler`,
   which must ride the spike up to ``max_workers`` and hand capacity back
   in the tail (the canonical 1→8→2 trajectory).
 
-The row is ``repro.bench/v2``: ``seq_*`` is the fixed run, ``batch_*``
-the elastic run, ``speedup`` their ratio — elastic wins exactly when the
+Each arm is timed from ``run()`` through the merged-state read to the
+closed worker set. ``ratio(payload, "spike_topology", "fixed",
+"elastic")`` is what elasticity bought: elastic wins exactly when the
 work reduction from splitting the quantile shards outruns the rescale
-overhead it paid. The elastic extras quantify that overhead per the
-rescale reports: ``rescale_latency_s`` (worst single rescale, barrier to
-restore), ``tuples_in_flight`` (worst backlog a migration barrier had to
-drain), ``lag_recovery_s`` (how long the watermark backlog took to fall
-back under 10% of its post-rescale peak).
+overhead it paid. The elastic row's ``detail`` quantifies that overhead
+from the last repeat's rescale reports: ``rescale_latency_s`` (worst
+single rescale, barrier to restore), ``tuples_in_flight`` (worst backlog
+a migration barrier had to drain), ``lag_recovery_s`` (how long the
+watermark backlog took to fall back under 10% of its post-rescale peak).
 
-``equivalent`` is the exactly-once elasticity contract: the merged
-synopsis of every tracked bolt — after five live re-shardings — must
-fingerprint-match a single-process :class:`LocalExecutor` run, and the
-fixed run must match it too. A rescale schedule is an implementation
+``equivalent`` is the exactly-once elasticity contract: in every repeat
+of both arms the merged synopsis of every tracked bolt — after every
+live re-sharding — must fingerprint-match a single-process
+:class:`LocalExecutor` run. A rescale schedule is an implementation
 detail; the answer is not allowed to notice it.
 
 :func:`run_spike_demo` is the same elastic run packaged as a pass/fail
@@ -34,11 +35,10 @@ matched, zero leaked shm segments) for CI's ``elastic-smoke`` job.
 
 from __future__ import annotations
 
-import time
 from typing import Any
 
 from repro.bench.fingerprint import state_fingerprint
-from repro.bench.runner import BENCH_SCHEMA_V2, available_cpu_count
+from repro.bench.runner import arm_row, make_payload, measure
 from repro.cluster.coordinator import ClusterExecutor
 from repro.cluster.elastic import BackpressureAutoscaler, PressurePolicy
 from repro.cluster.shm import leaked_segments
@@ -80,67 +80,54 @@ def demo_policy(
     )
 
 
+def _fingerprints(synopses: dict[str, Any]) -> dict[str, str]:
+    return {name: state_fingerprint(synopses[name]) for name in SPIKE_SYNOPSES}
+
+
 def _reference_fingerprints(records: list, amplify: int) -> dict[str, str]:
     """Single-process ground truth for every tracked synopsis."""
     executor = LocalExecutor(build_spike_topology(records, amplify=amplify))
     executor.run()
-    return {
-        name: state_fingerprint(executor.bolt_instances(name)[0].synopsis)
-        for name in SPIKE_SYNOPSES
-    }
-
-
-def _fixed_run(
-    records: list, amplify: int, reference: dict[str, str]
-) -> tuple[float, bool]:
-    """Fixed-at-start-shape wall time + equivalence to the reference."""
-    executor = ClusterExecutor(
-        build_spike_topology(records, amplify=amplify),
-        n_workers=1,
-        **_EXECUTOR_KW,
+    return _fingerprints(
+        {name: executor.bolt_instances(name)[0].synopsis for name in SPIKE_SYNOPSES}
     )
-    with executor:
-        start = time.perf_counter()
-        executor.run()
-        seconds = time.perf_counter() - start
-        fingerprints = {
-            name: state_fingerprint(executor.merged_synopsis(name))
-            for name in SPIKE_SYNOPSES
-        }
-    return seconds, fingerprints == reference
 
 
-def _elastic_run(
+def _cluster(
     records: list,
     amplify: int,
-    reference: dict[str, str],
-    policy: PressurePolicy,
-    tick_every: int,
+    policy: PressurePolicy | None = None,
+    tick_every: int = 8,
     flight_path: str | None = None,
-) -> dict[str, Any]:
-    """One autoscaled run; returns timings, trajectory and gate facts."""
-    scaler = BackpressureAutoscaler(policy, tick_every=tick_every)
-    executor = ClusterExecutor(
+) -> ClusterExecutor:
+    """A 1-worker spike cluster; autoscaled by *policy* when given."""
+    if policy is None:
+        return ClusterExecutor(
+            build_spike_topology(records, amplify=amplify),
+            n_workers=1,
+            **_EXECUTOR_KW,
+        )
+    return ClusterExecutor(
         build_spike_topology(records, amplify=amplify),
         n_workers=1,
         obs=Observability.create(sample_rate=0),
-        autoscaler=scaler,
+        autoscaler=BackpressureAutoscaler(policy, tick_every=tick_every),
         flight_path=flight_path,
         **_EXECUTOR_KW,
     )
+
+
+def _run_to_close(executor: ClusterExecutor) -> tuple[dict[str, Any], list]:
+    """Run *executor* to completion, read its merged tracked synopses and
+    rescale reports, and close it (the timed part of one arm)."""
     with executor:
-        start = time.perf_counter()
         executor.run()
-        seconds = time.perf_counter() - start
-        fingerprints = {
-            name: state_fingerprint(executor.merged_synopsis(name))
-            for name in SPIKE_SYNOPSES
-        }
-        reports = list(executor.rescale_reports)
-    if flight_path is not None and executor.flight is not None:
-        # The crash path dumps automatically; a clean demo run dumps here
-        # so CI always gets the rescale/autoscale event timeline.
-        executor.flight.dump(flight_path, reason="demo")
+        merged = {name: executor.merged_synopsis(name) for name in SPIKE_SYNOPSES}
+        return merged, list(executor.rescale_reports)
+
+
+def _trajectory(reports: list) -> dict[str, Any]:
+    """Worker-count path and worst-case overheads of one autoscaled run."""
     path = [1] + [report.to_workers for report in reports]
     recoveries = [
         report.lag_recovery_s
@@ -148,10 +135,7 @@ def _elastic_run(
         if report.lag_recovery_s is not None
     ]
     return {
-        "seconds": seconds,
-        "equivalent": fingerprints == reference,
         "workers_path": path,
-        "reports": [report.to_dict() for report in reports],
         "rescales": len(reports),
         "peak_workers": max(path),
         "final_workers": path[-1],
@@ -162,8 +146,6 @@ def _elastic_run(
             (report.in_flight_at_request for report in reports), default=0
         ),
         "lag_recovery_s": max(recoveries, default=0.0),
-        "leaked_segments": [seg.name for seg in leaked_segments()],
-        "autoscaler": scaler.describe(),
     }
 
 
@@ -193,14 +175,24 @@ def run_spike_demo(
         n_calm=n_calm, n_spike=n_spike, n_tail=n_tail, seed=seed
     )
     reference = _reference_fingerprints(records, amplify)
-    outcome = _elastic_run(
+    executor = _cluster(
         records,
         amplify,
-        reference,
         demo_policy(min_workers=min_workers, max_workers=max_workers),
         tick_every,
         flight_path=flight_path,
     )
+    [seconds], [(merged, reports)] = measure(_run_to_close, 1, lambda: executor)
+    if flight_path is not None and executor.flight is not None:
+        # The crash path dumps automatically; a clean demo run dumps here
+        # so CI always gets the rescale/autoscale event timeline.
+        executor.flight.dump(flight_path, reason="demo")
+    outcome = {
+        "seconds": seconds,
+        "equivalent": _fingerprints(merged) == reference,
+        **_trajectory(reports),
+        "leaked_segments": [seg.name for seg in leaked_segments()],
+    }
     outcome["passed"] = (
         outcome["equivalent"]
         and outcome["peak_workers"] == max_workers
@@ -217,67 +209,60 @@ def run_elastic_bench(
     seed: int = 7,
     amplify: int = 48,
     max_workers: int = 8,
+    repeats: int = 3,
     smoke: bool = False,
 ) -> dict:
-    """Fixed vs elastic over the spike; returns a ``repro.bench/v2`` payload."""
+    """Fixed vs elastic over the spike; returns a ``repro.bench/v3`` payload."""
     for name, count in (
         ("n_calm", n_calm),
         ("n_spike", n_spike),
         ("n_tail", n_tail),
+        ("amplify", amplify),
     ):
         if count <= 0:
             raise ParameterError(f"{name} must be positive")
-    if amplify <= 0:
-        raise ParameterError("amplify must be positive")
     records = spike_records(
         n_calm=n_calm, n_spike=n_spike, n_tail=n_tail, seed=seed
     )
     reference = _reference_fingerprints(records, amplify)
-    fixed_seconds, fixed_equivalent = _fixed_run(records, amplify, reference)
-    elastic = _elastic_run(
-        records,
-        amplify,
-        reference,
-        demo_policy(max_workers=max_workers),
-        tick_every=8,
-    )
-    n_items = len(records)
-    trajectory = "→".join(str(w) for w in elastic["workers_path"])
-    row = {
-        "synopsis": f"elastic[{trajectory}]",
-        "workload": "spike/exactly_once",
-        "n_items": n_items,
-        # seq_* = fixed at the starting shape, batch_* = autoscaled run
-        # over the same records; speedup = what elasticity bought.
-        "seq_seconds": fixed_seconds,
-        "batch_seconds": elastic["seconds"],
-        "seq_items_per_s": n_items / fixed_seconds,
-        "batch_items_per_s": n_items / elastic["seconds"],
-        "speedup": fixed_seconds / elastic["seconds"],
-        "equivalent": fixed_equivalent and elastic["equivalent"],
-        "rescales": elastic["rescales"],
-        "peak_workers": elastic["peak_workers"],
-        "final_workers": elastic["final_workers"],
-        "rescale_latency_s": elastic["rescale_latency_s"],
-        "tuples_in_flight": elastic["tuples_in_flight"],
-        "lag_recovery_s": elastic["lag_recovery_s"],
-        "leaked_segments": len(elastic["leaked_segments"]),
-        "n_cores": available_cpu_count(),
+    policy = demo_policy(max_workers=max_workers)
+    arms = {
+        "fixed": measure(
+            _run_to_close, repeats, lambda: _cluster(records, amplify)
+        ),
+        "elastic": measure(
+            _run_to_close, repeats, lambda: _cluster(records, amplify, policy)
+        ),
     }
-    return {
-        "schema": BENCH_SCHEMA_V2,
-        "config": {
-            "n_items": n_items,
-            "repeats": 1,
-            "seed": seed,
-            "smoke": smoke,
-            "mode": "elastic-spike",
-            "n_calm": n_calm,
-            "n_spike": n_spike,
-            "n_tail": n_tail,
-            "amplify": amplify,
-            "max_workers": max_workers,
-            "n_cores": available_cpu_count(),
-        },
-        "results": [row],
+    results = []
+    for arm, (seconds, outcomes) in arms.items():
+        equivalent = all(_fingerprints(merged) == reference for merged, __ in outcomes)
+        detail = None
+        if arm == "elastic":
+            detail = {
+                **_trajectory(outcomes[-1][1]),
+                "leaked_segments": len(leaked_segments()),
+            }
+        results.append(
+            arm_row(
+                "spike_topology",
+                arm,
+                "spike/exactly_once",
+                len(records),
+                seconds,
+                equivalent,
+                detail,
+            )
+        )
+    config = {
+        "n_items": len(records),
+        "repeats": repeats,
+        "seed": seed,
+        "smoke": smoke,
+        "n_calm": n_calm,
+        "n_spike": n_spike,
+        "n_tail": n_tail,
+        "amplify": amplify,
+        "max_workers": max_workers,
     }
+    return make_payload("elastic", config, results)

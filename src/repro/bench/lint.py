@@ -1,20 +1,16 @@
 """The streamlint bench: what does a full-tree analysis run cost?
 
 ``repro-bench --lint`` times :func:`repro.analysis.run_analysis` over the
-``src/repro`` tree in four configurations — cold vs. warm result cache,
-crossed with 1 worker vs. ``--jobs auto`` — and reuses the
-``repro.bench/v1`` row shape with the two timed columns mapped as
-
-* ``seq_*``   → the cold single-process run (the baseline every v1 user
-  paid on every invocation),
-* ``batch_*`` → the measured configuration,
-
-so ``speedup`` is the wall-time ratio over that baseline — the
-``warm_*`` rows are the headline: a warm cache skips parsing entirely
-and project rules re-run from cached facts alone. ``equivalent``
-asserts every configuration reports byte-identical findings: the cache
-and the process pool are allowed to change *when* work happens, never
-*what* the analyzer says.
+``src/repro`` tree in four arms — cold vs. warm result cache, crossed
+with 1 worker vs. ``--jobs auto`` (the affinity-aware
+:func:`~repro.common.cpus.available_cpu_count`): ``cold_1job``,
+``cold_auto``, ``warm_1job``, ``warm_auto``. The headline is
+``ratio(payload, "streamlint", "cold_1job", "warm_auto")``: a warm cache
+skips parsing entirely and project rules re-run from cached facts alone.
+``equivalent`` asserts every repeat of an arm reports byte-identical
+findings to the first cold single-process run: the cache and the process
+pool are allowed to change *when* work happens, never *what* the
+analyzer says.
 
 This module may read the wall clock: it is part of the measurement
 harness (see SL004's exemption for ``repro.bench``).
@@ -22,17 +18,15 @@ harness (see SL004's exemption for ``repro.bench``).
 
 from __future__ import annotations
 
-import os
 import tempfile
-import time
 from pathlib import Path
-from typing import Callable
 
-from repro.bench.runner import BENCH_SCHEMA
+from repro.bench.runner import arm_row, make_payload, measure
+from repro.common.cpus import available_cpu_count
 from repro.common.exceptions import ParameterError
 
-#: The four measured configurations: (name, warm cache?, auto jobs?).
-CASES: tuple[tuple[str, bool, bool], ...] = (
+#: The four measured arms: (name, warm cache?, auto jobs?).
+ARMS: tuple[tuple[str, bool, bool], ...] = (
     ("cold_1job", False, False),
     ("cold_auto", False, True),
     ("warm_1job", True, False),
@@ -47,38 +41,16 @@ def default_target() -> Path:
     return Path(repro.__file__).resolve().parent
 
 
-def _auto_jobs() -> int:
-    return os.cpu_count() or 1
-
-
-def _time_case(
-    run: Callable[[], object], repeats: int, reset: Callable[[], None]
-) -> tuple[float, object]:
-    """Best-of-*repeats* wall time; ``reset`` restores preconditions
-    (e.g. deletes the cache file so a cold run stays cold)."""
-    best = float("inf")
-    result: object = None
-    for __ in range(repeats):
-        reset()
-        start = time.perf_counter()
-        result = run()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-    return best, result
-
-
 def run_lint_bench(
     target: Path | None = None,
     repeats: int = 3,
     seed: int = 7,
     smoke: bool = False,
 ) -> dict:
-    """Time full-tree analysis cold/warm × 1/auto jobs; returns a
-    ``repro.bench/v1`` payload."""
+    """Time full-tree analysis in every arm; returns a ``repro.bench/v3``
+    payload with one case, ``streamlint``."""
     from repro.analysis import run_analysis
 
-    if repeats <= 0:
-        raise ParameterError("repeats must be positive")
     if target is None:
         target = default_target()
         if smoke:
@@ -86,11 +58,10 @@ def run_lint_bench(
     target = Path(target)
     if not target.exists():
         raise ParameterError(f"no such analysis target: {target}")
-    auto = _auto_jobs()
+    auto = available_cpu_count()
     workload = "src/repro" if not smoke else "src/repro/analysis"
     results = []
-    baseline_seconds: float | None = None
-    baseline_findings: list | None = None
+    reference: list | None = None
     with tempfile.TemporaryDirectory(prefix="streamlint-bench-") as scratch:
         cache = Path(scratch) / "cache.json"
 
@@ -101,48 +72,32 @@ def run_lint_bench(
             if not cache.exists():
                 run_analysis([target], cache_path=cache)
 
-        for name, warm, use_auto in CASES:
+        for arm, warm, use_auto in ARMS:
             jobs = auto if use_auto else 1
-            seconds, outcome = _time_case(
-                lambda j=jobs: run_analysis([target], jobs=j, cache_path=cache),
+            seconds, outcomes = measure(
+                lambda __, j=jobs: run_analysis([target], jobs=j, cache_path=cache),
                 repeats,
                 warm_cache if warm else clear_cache,
             )
-            findings = [f.to_dict() for f in outcome.findings]
-            if baseline_seconds is None:
-                baseline_seconds, baseline_findings = seconds, findings
+            findings = [[f.to_dict() for f in o.findings] for o in outcomes]
+            if reference is None:
+                reference = findings[0]
             results.append(
-                {
-                    "synopsis": f"{name}[jobs={jobs}]",
-                    "workload": workload,
-                    "n_items": outcome.file_count,
-                    # seq_* = cold single-process baseline, batch_* = this
-                    # configuration (see module docstring).
-                    "seq_seconds": baseline_seconds,
-                    "batch_seconds": seconds,
-                    "seq_items_per_s": outcome.file_count / baseline_seconds,
-                    "batch_items_per_s": outcome.file_count / seconds,
-                    "speedup": baseline_seconds / seconds,
-                    "equivalent": findings == baseline_findings,
-                }
+                arm_row(
+                    "streamlint",
+                    arm,
+                    workload,
+                    outcomes[0].file_count,
+                    seconds,
+                    all(f == reference for f in findings),
+                )
             )
-    return {
-        "schema": BENCH_SCHEMA,
-        "config": {
-            "n_items": results[0]["n_items"],
-            "repeats": repeats,
-            "seed": seed,
-            "smoke": smoke,
-            "n_cores": auto,
-            "target": workload,
-        },
-        "results": results,
+    config = {
+        "n_items": results[0]["n_items"],
+        "repeats": repeats,
+        "seed": seed,
+        "smoke": smoke,
+        "target": workload,
+        "auto_jobs": auto,
     }
-
-
-def warm_speedup(payload: dict) -> float:
-    """The headline number: warm ``--jobs auto`` speedup over cold 1-job."""
-    for entry in payload["results"]:
-        if entry["synopsis"].startswith("warm_auto"):
-            return entry["speedup"]
-    raise ValueError("payload has no warm_auto row")
+    return make_payload("lint", config, results)

@@ -1,11 +1,22 @@
-"""The ingest-throughput bench: sequential vs. batched synopsis update.
+"""The measurement harness, and the synopsis-kernel suite that uses it.
 
-For each :class:`BenchCase` the runner builds a seeded workload, times
-``update`` item-at-a-time and ``update_many`` over the same items (best of
-*repeats* fresh runs each), then verifies the two final states are
-bit-identical via :func:`repro.bench.fingerprint.state_fingerprint`. The
-payload is schema-tagged (``repro.bench/v1``) so the committed
-``BENCH_synopses.json`` forms a comparable trajectory across PRs.
+Every ``repro.bench`` suite reports on one schema, ``repro.bench/v3``. A
+payload is ``{"schema", "suite", "config", "env", "results"}`` and each
+row of ``results`` is one named **arm** of one **case**: the synopsis
+suite's ``scalar``/``batch`` ingest of one synopsis, the lint suite's
+four cache × jobs configurations, the elastic suite's ``fixed`` and
+``elastic`` clusters. :func:`measure` times every arm *repeats* times;
+the row keeps ``median_s`` and ``iqr_s`` of those runs,
+``items_per_s = n_items / median_s``, and ``equivalent`` — every repeat's
+final state or output matched the case's reference. Ratios are not
+stored: :func:`ratio` takes them between two named arms' medians. ``env``
+is the same stamp on every payload (:func:`env_stamp`).
+
+The synopsis-kernel suite (:func:`run_bench`) builds a seeded workload
+per :class:`BenchCase`, ingests it item-at-a-time (``scalar``) and by
+``update_many`` (``batch``), and checks that both leave bit-identical
+state via :func:`repro.bench.fingerprint.state_fingerprint` — the
+batch-ingest invariant.
 
 This module may read the wall clock: it *is* the measurement harness, the
 one place where elapsed real time is the subject rather than a hidden
@@ -14,54 +25,190 @@ input (see SL004's exemption for ``repro.bench``).
 
 from __future__ import annotations
 
-import os
+import platform
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.bench.fingerprint import state_fingerprint
+from repro.common.cpus import available_cpu_count
 from repro.common.exceptions import ParameterError
 
+BENCH_SCHEMA = "repro.bench/v3"
 
-def available_cpu_count() -> int:
-    """CPU cores *this process* may actually use, not just the machine's.
+_PAYLOAD_KEYS = frozenset({"schema", "suite", "config", "env", "results"})
+_CONFIG_KEYS = frozenset({"n_items", "repeats", "seed", "smoke"})
 
-    Scaling benches are meaningless without this number: a 64-core host
-    pinned to 2 cores by cgroups/affinity behaves like a 2-core machine,
-    and ``os.cpu_count()`` happily reports 64. Prefer
-    ``os.process_cpu_count()`` (3.13+), fall back to the scheduler
-    affinity mask (Linux), then to the machine count.
-    """
-    getter = getattr(os, "process_cpu_count", None)
-    if getter is not None:  # pragma: no cover - Python 3.13+
-        count = getter()
-        if count:
-            return count
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-BENCH_SCHEMA = "repro.bench/v1"
-
-#: v2 keeps every v1 column with the same meaning but allows suites to
-#: append extra columns per row (the cluster sweep's transport/byte
-#: accounting). v1 payloads stay exact-keyed; v2 rows are supersets.
-BENCH_SCHEMA_V2 = "repro.bench/v2"
-
-_RESULT_KEYS = frozenset(
+#: Every row carries exactly these keys, plus an optional ``detail`` dict
+#: of suite-specific facts (the elastic arm's rescale trajectory).
+_ROW_KEYS = frozenset(
     {
-        "synopsis",
+        "case",
+        "arm",
         "workload",
         "n_items",
-        "seq_seconds",
-        "batch_seconds",
-        "seq_items_per_s",
-        "batch_items_per_s",
-        "speedup",
+        "median_s",
+        "iqr_s",
+        "items_per_s",
         "equivalent",
     }
 )
+
+
+def measure(
+    run: Callable[[Any], Any],
+    repeats: int,
+    prepare: Callable[[], Any] | None = None,
+) -> tuple[list[float], list]:
+    """Wall time of ``run(prepare())`` over *repeats* fresh runs.
+
+    ``prepare`` is untimed and builds each run's fresh input (a new
+    synopsis, an emptied or a warmed cache, an executor); only ``run`` is
+    timed. Every run's return value is kept so the caller can check each
+    repeat's outcome, not just the last. Returns (seconds, outcomes), one
+    entry per repeat.
+    """
+    if repeats <= 0:
+        raise ParameterError("repeats must be positive")
+    seconds: list[float] = []
+    outcomes: list = []
+    for __ in range(repeats):
+        state = prepare() if prepare is not None else None
+        start = time.perf_counter()
+        outcomes.append(run(state))
+        seconds.append(time.perf_counter() - start)
+    return seconds, outcomes
+
+
+def arm_row(
+    case: str,
+    arm: str,
+    workload: str,
+    n_items: int,
+    seconds: list[float],
+    equivalent: bool,
+    detail: dict | None = None,
+) -> dict:
+    """One result row: median and interquartile range of *seconds*."""
+    q1, median, q3 = (float(q) for q in np.percentile(seconds, [25, 50, 75]))
+    row = {
+        "case": case,
+        "arm": arm,
+        "workload": workload,
+        "n_items": n_items,
+        "median_s": median,
+        "iqr_s": q3 - q1,
+        "items_per_s": n_items / median,
+        "equivalent": equivalent,
+    }
+    if detail is not None:
+        row["detail"] = detail
+    return row
+
+
+def env_stamp() -> dict:
+    """Where a payload was measured: the cores this process may use
+    (affinity-aware), the interpreter and numpy versions, the machine."""
+    return {
+        "n_cores": available_cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+    }
+
+
+def make_payload(suite: str, config: dict, results: list[dict]) -> dict:
+    """Wrap a suite's rows in the ``repro.bench/v3`` envelope."""
+    return {
+        "schema": BENCH_SCHEMA,
+        "suite": suite,
+        "config": config,
+        "env": env_stamp(),
+        "results": results,
+    }
+
+
+def ratio(payload: dict, case: str, baseline: str, arm: str) -> float:
+    """``median_s`` of arm *baseline* over that of arm *arm*, both of
+    *case*: above 1 means *arm* is faster."""
+    medians = {
+        row["arm"]: row["median_s"]
+        for row in payload["results"]
+        if row["case"] == case
+    }
+    for name in (baseline, arm):
+        if name not in medians:
+            raise ValueError(f"payload has no {name!r} arm for case {case!r}")
+    return medians[baseline] / medians[arm]
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def validate_payload(payload: dict) -> None:
+    """Raise ``ValueError`` unless *payload* is a ``repro.bench/v3``
+    payload whose every row is a measured, equivalent arm."""
+    if not isinstance(payload, dict) or payload.get("schema") != BENCH_SCHEMA:
+        raise ValueError(f"schema must be {BENCH_SCHEMA!r}")
+    if set(payload) != _PAYLOAD_KEYS:
+        raise ValueError(f"payload keys must be {sorted(_PAYLOAD_KEYS)}")
+    config, env, results = payload["config"], payload["env"], payload["results"]
+    if not isinstance(config, dict) or not _CONFIG_KEYS <= set(config):
+        raise ValueError("config must carry n_items/repeats/seed/smoke")
+    n_cores = env.get("n_cores") if isinstance(env, dict) else None
+    if not (_is_number(n_cores) and n_cores > 0):
+        raise ValueError("env must carry a positive n_cores")
+    if not isinstance(results, list) or not results:
+        raise ValueError("results must be a non-empty list")
+    arms = set()
+    for row in results:
+        keys = set(row) if isinstance(row, dict) else set()
+        if not _ROW_KEYS <= keys <= _ROW_KEYS | {"detail"}:
+            raise ValueError(f"bad row keys: {sorted(keys)}")
+        name = f"{row['case']}/{row['arm']}"
+        if name in arms:
+            raise ValueError(f"{name}: arm measured twice")
+        arms.add(name)
+        for key in ("n_items", "median_s", "items_per_s"):
+            if not (_is_number(row[key]) and row[key] > 0):
+                raise ValueError(f"{name}: {key} must be positive")
+        if not (_is_number(row["iqr_s"]) and row["iqr_s"] >= 0):
+            raise ValueError(f"{name}: iqr_s must be non-negative")
+        if row["equivalent"] is not True:
+            raise ValueError(f"{name}: diverged from the case's reference")
+
+
+def format_table(payload: dict) -> str:
+    """Render the payload as an aligned table; ``ratio`` is each arm's
+    speed relative to the first arm of its case."""
+    header = (
+        f"{'case':<24} {'arm':<10} {'items':>8} {'median s':>10} "
+        f"{'iqr s':>9} {'items/s':>12} {'ratio':>7}  equal"
+    )
+    lines = [header, "-" * len(header)]
+    first_arm: dict[str, str] = {}
+    for row in payload["results"]:
+        baseline = first_arm.setdefault(row["case"], row["arm"])
+        lines.append(
+            f"{row['case']:<24} {row['arm']:<10} {row['n_items']:>8} "
+            f"{row['median_s']:>10.4f} {row['iqr_s']:>9.4f} "
+            f"{row['items_per_s']:>12,.0f} "
+            f"{ratio(payload, row['case'], baseline, row['arm']):>6.2f}x  "
+            f"{'yes' if row['equivalent'] else 'NO'}"
+        )
+        if "detail" in row:
+            lines.append(
+                "    " + ", ".join(f"{k}={v}" for k, v in row["detail"].items())
+            )
+    env = payload["env"]
+    lines.append(
+        f"({env['n_cores']} core(s), Python {env['python']}, numpy "
+        f"{env['numpy']}; median of {payload['config']['repeats']} run(s))"
+    )
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -69,7 +216,7 @@ class BenchCase:
     """One measured synopsis configuration.
 
     ``factory`` builds a fresh synopsis per timed run; ``make_items(n,
-    seed)`` materialises the seeded workload both ingest paths consume.
+    seed)`` materialises the seeded workload both ingest arms consume.
     """
 
     name: str
@@ -136,26 +283,19 @@ def default_cases() -> list[BenchCase]:
     ]
 
 
-def _time_ingest(
-    factory: Callable[[], Any], items: list, repeats: int, batched: bool
-) -> tuple[float, Any]:
-    """Best-of-*repeats* ingest time; returns (seconds, last synopsis)."""
-    best = float("inf")
-    synopsis: Any = None
-    for __ in range(repeats):
-        synopsis = factory()
+def _ingest(items: list, batched: bool) -> Callable[[Any], Any]:
+    """The timed part of one arm: feed *items* into a fresh synopsis."""
+
+    def run(synopsis: Any) -> Any:
         if batched:
-            start = time.perf_counter()
             synopsis.update_many(items)
-            elapsed = time.perf_counter() - start
         else:
             update = synopsis.update
-            start = time.perf_counter()
             for item in items:
                 update(item)
-            elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-    return best, synopsis
+        return synopsis
+
+    return run
 
 
 def run_bench(
@@ -165,97 +305,22 @@ def run_bench(
     seed: int = 7,
     smoke: bool = False,
 ) -> dict:
-    """Run every case and return the schema-tagged payload."""
+    """Run every case's ``scalar`` and ``batch`` arms; returns the payload."""
     if n_items <= 0:
         raise ParameterError("n_items must be positive")
-    if repeats <= 0:
-        raise ParameterError("repeats must be positive")
     cases = default_cases() if cases is None else list(cases)
     results = []
     for case in cases:
         items = case.make_items(n_items, seed)
-        seq_seconds, seq_synopsis = _time_ingest(
-            case.factory, items, repeats, batched=False
-        )
-        batch_seconds, batch_synopsis = _time_ingest(
-            case.factory, items, repeats, batched=True
-        )
-        equivalent = state_fingerprint(seq_synopsis) == state_fingerprint(
-            batch_synopsis
-        )
-        results.append(
-            {
-                "synopsis": case.name,
-                "workload": case.workload,
-                "n_items": len(items),
-                "seq_seconds": seq_seconds,
-                "batch_seconds": batch_seconds,
-                "seq_items_per_s": len(items) / seq_seconds,
-                "batch_items_per_s": len(items) / batch_seconds,
-                "speedup": seq_seconds / batch_seconds,
-                "equivalent": equivalent,
-            }
-        )
-    return {
-        "schema": BENCH_SCHEMA,
-        "config": {
-            "n_items": n_items,
-            "repeats": repeats,
-            "seed": seed,
-            "smoke": smoke,
-        },
-        "results": results,
-    }
-
-
-def validate_payload(payload: dict) -> None:
-    """Raise ``ValueError`` unless *payload* matches ``repro.bench/v1``
-    (exact result keys) or ``repro.bench/v2`` (the same columns with the
-    same meanings, plus suite-specific extra columns per row)."""
-    if not isinstance(payload, dict):
-        raise ValueError("payload must be a dict")
-    schema = payload.get("schema")
-    if schema not in (BENCH_SCHEMA, BENCH_SCHEMA_V2):
-        raise ValueError(f"schema must be {BENCH_SCHEMA!r} or {BENCH_SCHEMA_V2!r}")
-    config = payload.get("config")
-    if not isinstance(config, dict) or not {
-        "n_items",
-        "repeats",
-        "seed",
-        "smoke",
-    } <= set(config):
-        raise ValueError("config must carry n_items/repeats/seed/smoke")
-    results = payload.get("results")
-    if not isinstance(results, list) or not results:
-        raise ValueError("results must be a non-empty list")
-    for entry in results:
-        if not isinstance(entry, dict) or not (
-            set(entry) == _RESULT_KEYS
-            if schema == BENCH_SCHEMA
-            else _RESULT_KEYS <= set(entry)
-        ):
-            raise ValueError(f"bad result keys: {sorted(entry)}")
-        for key in ("seq_seconds", "batch_seconds", "speedup"):
-            if not (isinstance(entry[key], (int, float)) and entry[key] > 0):
-                raise ValueError(f"{entry['synopsis']}: {key} must be positive")
-        if entry["equivalent"] is not True:
-            raise ValueError(
-                f"{entry['synopsis']}: batch ingest diverged from sequential"
+        arms = {
+            arm: measure(_ingest(items, arm == "batch"), repeats, case.factory)
+            for arm in ("scalar", "batch")
+        }
+        reference = state_fingerprint(arms["scalar"][1][0])
+        for arm, (seconds, synopses) in arms.items():
+            equivalent = all(state_fingerprint(s) == reference for s in synopses)
+            results.append(
+                arm_row(case.name, arm, case.workload, len(items), seconds, equivalent)
             )
-
-
-def format_table(payload: dict) -> str:
-    """Render the payload as an aligned human-readable table."""
-    header = (
-        f"{'synopsis':<24} {'items':>8} {'seq it/s':>12} "
-        f"{'batch it/s':>12} {'speedup':>8}  equal"
-    )
-    lines = [header, "-" * len(header)]
-    for entry in payload["results"]:
-        lines.append(
-            f"{entry['synopsis']:<24} {entry['n_items']:>8} "
-            f"{entry['seq_items_per_s']:>12,.0f} "
-            f"{entry['batch_items_per_s']:>12,.0f} "
-            f"{entry['speedup']:>7.2f}x  {'yes' if entry['equivalent'] else 'NO'}"
-        )
-    return "\n".join(lines)
+    config = {"n_items": n_items, "repeats": repeats, "seed": seed, "smoke": smoke}
+    return make_payload("synopses", config, results)

@@ -2,8 +2,8 @@
 
 An envelope is a list of delivery entries ``(component, task, values,
 root, tuple_id, trace)``. Pickling it through a ``multiprocessing`` pipe
-capped cluster speedup (the queue rows of the committed
-``BENCH_cluster.json``); this module's wire format is a
+capped cluster speedup (the retired cluster bench's queue rows, see
+EXPERIMENTS.md "Retired suites"); this module's wire format is a
 self-describing binary *frame* of numpy columns, so a batch crosses the
 process boundary as a handful of contiguous arrays instead of thousands
 of small Python objects:

@@ -8,10 +8,11 @@ value in one sorted buffer. It exists for two jobs:
   the exact ranks this class reports over the same stream;
 * **partitioned-state workload** — each insert costs ``O(n)`` in the
   buffer size (``bisect`` + list shift), so sharding the stream across K
-  partitions divides the *total* maintenance work by ~K. The cluster
-  bench uses exactly this property to measure scale-out gains that are
-  real work reduction, not just parallel wall-clock (see
-  :mod:`repro.bench.cluster`).
+  partitions divides the *total* maintenance work by ~K. The spike
+  workload's ``latency`` bolt (:mod:`repro.workloads.spike`) shards it
+  by key, which is where the elasticity bench's scale-out gain comes
+  from: real work reduction, not just parallel wall-clock (see
+  :mod:`repro.bench.elastic`).
 
 The merge is a sorted-multiset union, so merged shard partials are
 bit-identical to a single-stream buffer regardless of how the stream was

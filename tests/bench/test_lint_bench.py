@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.bench.cli import main
-from repro.bench.lint import CASES, run_lint_bench, warm_speedup
-from repro.bench.runner import validate_payload
+from repro.bench.lint import ARMS, run_lint_bench
+from repro.bench.runner import ratio, validate_payload
 from repro.common.exceptions import ParameterError
 
 _TREE = {
@@ -26,17 +26,15 @@ def tiny_tree(tmp_path):
 
 
 def test_payload_is_schema_valid_over_tiny_tree(tiny_tree):
-    payload = run_lint_bench(target=tiny_tree, repeats=1)
+    payload = run_lint_bench(target=tiny_tree, repeats=2)
     validate_payload(payload)
-    assert len(payload["results"]) == len(CASES)
-    names = [entry["synopsis"] for entry in payload["results"]]
-    assert names[0].startswith("cold_1job")
-    assert all(entry["equivalent"] for entry in payload["results"])
-    assert all(entry["n_items"] == len(_TREE) for entry in payload["results"])
-    # every row is anchored to the same cold single-process baseline
-    baselines = {entry["seq_seconds"] for entry in payload["results"]}
-    assert len(baselines) == 1
-    assert warm_speedup(payload) > 0
+    assert payload["suite"] == "lint"
+    assert [row["arm"] for row in payload["results"]] == [arm for arm, *__ in ARMS]
+    assert {row["case"] for row in payload["results"]} == {"streamlint"}
+    assert all(row["equivalent"] for row in payload["results"])
+    assert all(row["n_items"] == len(_TREE) for row in payload["results"])
+    assert payload["config"]["auto_jobs"] == payload["env"]["n_cores"]
+    assert ratio(payload, "streamlint", "cold_1job", "warm_auto") > 0
 
 
 def test_rejects_bad_parameters(tiny_tree):
@@ -46,9 +44,13 @@ def test_rejects_bad_parameters(tiny_tree):
         run_lint_bench(target=tiny_tree / "missing")
 
 
-def test_warm_speedup_requires_warm_row():
+def test_warm_speedup_requires_warm_row(tiny_tree):
+    payload = run_lint_bench(target=tiny_tree, repeats=1)
+    payload["results"] = [
+        row for row in payload["results"] if row["arm"] != "warm_auto"
+    ]
     with pytest.raises(ValueError, match="warm_auto"):
-        warm_speedup({"results": []})
+        ratio(payload, "streamlint", "cold_1job", "warm_auto")
 
 
 def test_cli_lint_smoke_writes_validated_json(tmp_path, capsys):
@@ -58,6 +60,6 @@ def test_cli_lint_smoke_writes_validated_json(tmp_path, capsys):
     validate_payload(payload)
     assert payload["config"]["smoke"] is True
     assert payload["config"]["repeats"] == 1
-    assert len(payload["results"]) == len(CASES)
+    assert len(payload["results"]) == len(ARMS)
     stdout = capsys.readouterr().out
-    assert "warm --jobs auto" in stdout and "speedup" in stdout
+    assert "warm_auto" in stdout and "ratio" in stdout

@@ -3,6 +3,7 @@ settle, crashes leave a flight dump, span loss is bounded."""
 
 import pytest
 
+from repro.bench.fingerprint import state_fingerprint
 from repro.cluster.coordinator import ClusterExecutor
 from repro.obs.context import Observability
 from repro.obs.demo import build_demo_topology, demo_records
@@ -124,20 +125,48 @@ class TestDeltaAbsorption:
         # once at shutdown so cluster-wide metric aggregation stays whole
         # (the obsbridge-equivalent baseline).
         records = demo_records(300, 5)
-        obs = Observability.create(sample_rate=0.0, seed=5)
-        executor = ClusterExecutor(
-            build_demo_topology(records),
-            n_workers=2,
-            semantics="at_most_once",
-            obs=obs,
-            telemetry_interval=0.0,
-        )
-        with executor:
-            metrics = executor.run()
-        health = executor.last_health
+
+        def run(interval):
+            obs = Observability.create(sample_rate=0.0, seed=5)
+            executor = ClusterExecutor(
+                build_demo_topology(records),
+                n_workers=2,
+                semantics="at_most_once",
+                obs=obs,
+                telemetry_interval=interval,
+            )
+            with executor:
+                metrics = executor.run()
+                sketch = state_fingerprint(executor.merged_synopsis("sketch"))
+            return executor.last_health, obs, metrics, sketch
+
+        health, obs, metrics, one_shot_sketch = run(0.0)
         assert all(w.flushes == 1 for w in health.workers)
         totals = absorbed_processed(obs.registry)
         assert sum(totals.values()) == coordinator_bolt_processed(metrics)
+        # Streaming the telemetry must not change the answer: the merged
+        # sketch is fingerprint-equal to the one-shot run's.
+        __, __, __, streamed_sketch = run(INTERVAL)
+        assert streamed_sketch == one_shot_sketch
+
+    def test_streaming_telemetry_preserves_state(self):
+        # A busier, reliable run: streaming flushes at a short interval
+        # leave the merged sketch fingerprint-equal to telemetry-off.
+        records = demo_records(1_000, 9)
+
+        def merged_sketch(interval):
+            executor = ClusterExecutor(
+                build_demo_topology(records),
+                n_workers=2,
+                semantics="at_least_once",
+                obs=Observability.create(sample_rate=0.0, seed=9),
+                telemetry_interval=interval,
+            )
+            with executor:
+                executor.run()
+                return state_fingerprint(executor.merged_synopsis("sketch"))
+
+        assert merged_sketch(INTERVAL) == merged_sketch(0.0)
 
 
 class TestCrashTelemetry:

@@ -18,6 +18,9 @@ from repro.core.stateship import capture
 from repro.obs.demo import build_demo_topology, demo_records
 from repro.platform.executor import LocalExecutor
 from repro.platform.faults import FaultInjector
+from repro.platform.operators import FlatMapBolt, SynopsisBolt
+from repro.platform.topology import ListSpout, TopologyBuilder
+from repro.quantiles.exact import ExactQuantiles
 
 pytestmark = pytest.mark.skipif(
     not shm_available(), reason="POSIX shared memory unavailable"
@@ -52,6 +55,21 @@ def _merged_counts(executor: ClusterExecutor) -> dict:
     return out
 
 
+def _quantile_topology(records, parallelism):
+    """words → split → fields-grouped exact quantiles (``parallelism`` shards)."""
+    builder = TopologyBuilder()
+    builder.set_spout("sentences", lambda: ListSpout(records))
+    builder.set_bolt(
+        "split", lambda: FlatMapBolt(lambda v: [(w,) for w in v[0].split()])
+    ).shuffle("sentences")
+    builder.set_bolt(
+        "quantile",
+        lambda: SynopsisBolt(ExactQuantiles, batch_size=256),
+        parallelism=parallelism,
+    ).fields("split", 0)
+    return builder.build()
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     def test_shm_matches_single_process(self, records, reference, n_workers):
@@ -64,6 +82,21 @@ class TestEquivalence:
             counts = _merged_counts(executor)
         assert state_fingerprint(merged) == ref_fingerprint
         assert counts == ref_counts
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_exact_quantile_shards_match_single_process(self, records, n_workers):
+        # One ExactQuantiles shard per worker: the sorted-multiset merge of
+        # the shards is exactly the single-process parallelism-1 buffer.
+        local = LocalExecutor(_quantile_topology(records, 1))
+        local.run()
+        expected = state_fingerprint(local.bolt_instances("quantile")[0].synopsis)
+        with ClusterExecutor(
+            _quantile_topology(records, n_workers), n_workers=n_workers
+        ) as executor:
+            executor.run()
+            merged = executor.merged_synopsis("quantile")
+        assert merged.count == 4 * len(records)
+        assert state_fingerprint(merged) == expected
 
     def test_shm_at_least_once_clean_run(self, records, reference):
         ref_fingerprint, __ = reference

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.obs.context import Observability
-from repro.obs.demo import run_demo
+from repro.obs.demo import build_demo_topology, demo_records, run_demo
 from repro.obs.report import render_report, render_trace_tree
 from repro.obs.tracing import critical_path, span_stats
+from repro.platform.executor import LocalExecutor
 from repro.platform.faults import FaultInjector
 
 
@@ -77,6 +78,33 @@ class TestSpanTrees:
         stats = span_stats(spans)
         assert any(c.startswith("bolt:") for c in stats)
         assert all(v["hops"] > 0 for v in stats.values())
+
+
+def _observable_state(sample_rate):
+    """Count tables + sketch cardinality of one at-least-once demo run,
+    bare (``sample_rate=None``) or under an Observability bundle."""
+    obs = None
+    if sample_rate is not None:
+        obs = Observability.create(sample_rate=sample_rate, seed=7)
+    topology = build_demo_topology(demo_records(400, 7), obs)
+    executor = LocalExecutor(topology, semantics="at_least_once", obs=obs)
+    executor.run()
+    counts: dict = {}
+    for bolt in executor.bolt_instances("count"):
+        counts.update(bolt.counts)
+    (sketch,) = executor.bolt_instances("sketch")
+    return counts, round(sketch.synopsis["uniques"].estimate())
+
+
+class TestWatchingDoesNotChangeTheStream:
+    @pytest.mark.parametrize("sample_rate", [0.0, 0.01, 1.0])
+    def test_instrumented_run_matches_bare_run(self, sample_rate):
+        # Metrics, sampled tracing and synopsis instrumentation may cost
+        # time, never answers: identical counts and uniques estimate.
+        bare_counts, bare_uniques = _observable_state(None)
+        counts, uniques = _observable_state(sample_rate)
+        assert counts and counts == bare_counts
+        assert uniques == bare_uniques
 
 
 class TestCrashRecovery:
