@@ -17,7 +17,7 @@ SL004     wall-clock reads in algorithm modules (only ``platform/`` may)
 SL005     bare/overbroad ``except`` that swallows failures
 SL006     concrete synopses missing from ``core/registry``
 SL007     mutable module globals mutated from bolt/worker code paths
-SL008     operator state serialization v2 cannot ship (spawn boundary)
+SL008     operator state serialization cannot ship (spawn boundary)
 SL009     bolt state merge-on-query silently drops at parallelism > 1
 SL010     blocking calls (sleep, bare Queue.get) in cluster hot loops
 SL011     nondeterminism (id(), set iteration) in checkpointed state

@@ -1,4 +1,4 @@
-"""SL008 — operator state serialization v2 cannot ship.
+"""SL008 — operator state serialization cannot ship.
 
 ``repro.core.stateship`` snapshots operator ``self.*`` state through
 ``repro.common.serialization`` to cross the spawn boundary (checkpoints,
@@ -26,7 +26,7 @@ from repro.analysis.engine import Rule, rule
 from repro.analysis.findings import Finding
 from repro.analysis.project import BOLT_ROOT, SPOUT_ROOT, SYNOPSIS_ROOT, ProjectModel
 
-#: Canonical labels serialization v2 handles (primitives + _COMPOUND_TYPES).
+#: Canonical labels serialization handles (primitives + _COMPOUND_TYPES).
 _SERIALIZABLE = frozenset(
     {
         "NoneType",
@@ -60,7 +60,7 @@ _UNSHIPPABLE_LABELS = {
     "file": "an open file handle",
 }
 
-#: Stdlib roots whose objects hold OS resources serialization v2 refuses.
+#: Stdlib roots whose objects hold OS resources serialization refuses.
 _UNSHIPPABLE_ROOTS = frozenset(
     {
         "threading",
@@ -88,7 +88,7 @@ class UnshippableStateRule(Rule):
 
     rule_id = "SL008"
     description = (
-        "operator state attribute not covered by serialization v2 "
+        "operator state attribute not covered by serialization "
         "(_COMPOUND_TYPES/register_reducer); state shipping fails at the "
         "spawn boundary"
     )
@@ -113,7 +113,7 @@ class UnshippableStateRule(Rule):
                         info["line"],
                         info["col"],
                         f"{name}.{attr} is {problem}, which serialization "
-                        "v2 cannot ship across the spawn boundary; "
+                        "cannot ship across the spawn boundary; "
                         "checkpoint/restore of this operator will fail — "
                         "rebuild it in prepare() or register a reducer",
                     )

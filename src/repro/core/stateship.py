@@ -3,7 +3,7 @@
 ``repro.cluster`` workers checkpoint their operators to the coordinator and
 ship merge-on-query partials back; both cross a ``multiprocessing`` process
 boundary as *bytes*, not objects. This module is the narrow waist for that
-traffic, built on :mod:`repro.common.serialization` format v2:
+traffic, built on :mod:`repro.common.serialization` format v3:
 
 * :func:`capture` — snapshot any library object (synopsis, window, plain
   state dict) into a framed byte payload. Class identity travels as a
@@ -75,10 +75,23 @@ def capture(obj: Any) -> bytes:
     return dump_state(STATE_TAG, {"class": _class_path(type(obj)), "state": _object_state(obj)})
 
 
+def _load(payload: bytes) -> dict[str, Any]:
+    """Decode a stateship document, refusing one not shaped like
+    :func:`capture`'s (a ``class`` path or None, and a ``state`` dict)."""
+    doc = load_state(STATE_TAG, payload)
+    if (
+        set(doc) != {"class", "state"}
+        or not isinstance(doc["class"], (str, type(None)))
+        or not isinstance(doc["state"], dict)
+    ):
+        raise SerializationError("stateship payload lacks a 'class' and a 'state' dict")
+    return doc
+
+
 def shipped_class(payload: bytes) -> str | None:
     """The ``module:qualname`` class path recorded in *payload* (None for
     bare dict payloads)."""
-    return load_state(STATE_TAG, payload)["class"]
+    return _load(payload)["class"]
 
 
 def restore(payload: bytes) -> Any:
@@ -89,7 +102,7 @@ def restore(payload: bytes) -> Any:
     nested library objects. Callable configuration does not travel; use
     :func:`restore_into` when the class needs it.
     """
-    doc = load_state(STATE_TAG, payload)
+    doc = _load(payload)
     if doc["class"] is None:
         return doc["state"]
     cls = _resolve_class(doc["class"])
@@ -106,7 +119,7 @@ def restore_into(target: Any, payload: bytes) -> Any:
     time) keep the values *target*'s constructor gave them, so model
     functions and extractors survive the process boundary.
     """
-    doc = load_state(STATE_TAG, payload)
+    doc = _load(payload)
     if doc["class"] is None:
         raise SerializationError("payload holds a bare state dict, not an object")
     if doc["class"] != _class_path(type(target)):

@@ -1,4 +1,4 @@
-"""SL008 negative: everything serialization v2 covers."""
+"""SL008 negative: everything serialization covers."""
 
 import collections
 

@@ -1,4 +1,4 @@
-"""SL008: operator state serialization v2 cannot ship."""
+"""SL008: operator state serialization cannot ship."""
 
 from pathlib import Path
 

@@ -1,11 +1,15 @@
 """Cross-module serialization round-trips (speed layer -> serving layer)."""
 
+import json
+
 import pytest
 
 from repro.common.exceptions import SerializationError
 from repro.common.rng import make_np_rng
+from repro.core import stateship
 from repro.frequency import SpaceSaving
 from repro.quantiles import KLLSketch, TDigest
+from repro.serving.demo import serving_summary
 from repro.workloads import zipf_stream
 
 
@@ -69,3 +73,39 @@ class TestKLLBytes:
         restored.merge(b)
         assert restored.count == 2_000
         assert 800 <= restored.quantile(0.5) <= 1_200
+
+
+def _fields(node) -> dict:
+    """An encoded mapping's entries by key (``__dict__`` or ``__strdict__``
+    form, unwrapping a ``__shared__`` marker)."""
+    node = node.get("value", node) if "__shared__" in node else node
+    if "__dict__" in node:
+        return dict(node["__dict__"])
+    return node.get("__strdict__", node)
+
+
+class TestServingSummaryCapture:
+    """The served summary's bulk state must take the v3 block encodings;
+    a silent fall back to the element-wise walk would show up here before
+    it shows up as a slow checkpoint."""
+
+    #: ``len(stateship.capture(...))`` for the same input under format v2.
+    V2_PAYLOAD_BYTES = 305_558
+
+    def test_bulk_state_takes_block_encodings(self):
+        tokens = list(zipf_stream(25_000, universe=50_000, skew=1.1, seed=7, prefix="w"))
+        summary = serving_summary()
+        summary.update_many(tokens)
+        payload = stateship.capture(summary)
+        body = json.loads(payload[6 + len(stateship.STATE_TAG) :])
+        synopses = _fields(_fields(body["state"])["_synopses"])
+        lengths = _fields(synopses["lengths"]["state"])
+        topk = _fields(synopses["topk"]["state"])
+        assert "__packed__" in lengths["_values"]
+        assert lengths["_values"]["dtype"] == "<i1"
+        assert "__tuples__" in topk["_heap"]
+        assert "__strdict__" in topk["_counts"]
+        assert len(payload) <= 0.75 * self.V2_PAYLOAD_BYTES
+        restored = stateship.restore(payload)
+        assert stateship.fingerprint(restored) == stateship.fingerprint(summary)
+        assert restored["topk"]._heap == summary["topk"]._heap
