@@ -3,38 +3,59 @@
 The registry is what lets configuration-driven systems (the pipeline DSL,
 the Lambda speed layer, benchmark sweeps) instantiate synopses without
 importing every module: ``create("hyperloglog", precision=14)``.
+
+The builtin table is filled on the first call to :func:`register`,
+:func:`create` or :func:`available`, not at import: importing ``repro``
+loads none of the synopsis modules until a name is first looked up.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Callable
 
 from repro.common.exceptions import ParameterError
 
 _REGISTRY: dict[str, Callable[..., Any]] = {}
+_LOCK = threading.Lock()
+
+
+def _loaded() -> dict[str, Callable[..., Any]]:
+    """The name table, with the builtins added once on first use.
+
+    Every path into the table comes through here, so it is empty exactly
+    until the builtins are in (a failed import leaves it empty to retry).
+    """
+    with _LOCK:
+        if not _REGISTRY:
+            _register_builtins()
+    return _REGISTRY
 
 
 def register(name: str, factory: Callable[..., Any]) -> None:
     """Register *factory* under *name* (lowercase, unique)."""
     key = name.lower()
-    if key in _REGISTRY:
-        raise ParameterError(f"synopsis name {name!r} already registered")
-    _REGISTRY[key] = factory
+    registry = _loaded()
+    with _LOCK:
+        if key in registry:
+            raise ParameterError(f"synopsis name {name!r} already registered")
+        registry[key] = factory
 
 
 def create(name: str, **params: Any) -> Any:
     """Instantiate the synopsis registered under *name* with *params*."""
     key = name.lower()
-    if key not in _REGISTRY:
+    registry = _loaded()
+    if key not in registry:
         raise ParameterError(
-            f"unknown synopsis {name!r}; known: {', '.join(sorted(_REGISTRY))}"
+            f"unknown synopsis {name!r}; known: {', '.join(sorted(registry))}"
         )
-    return _REGISTRY[key](**params)
+    return registry[key](**params)
 
 
 def available() -> list[str]:
     """Sorted names of every registered synopsis."""
-    return sorted(_REGISTRY)
+    return sorted(_loaded())
 
 
 def _register_builtins() -> None:
@@ -236,8 +257,4 @@ def _register_builtins() -> None:
         "window_quantiles": SlidingWindowQuantiles,
         "windowed_lcs": WindowedLCS,
     }
-    for name, factory in builtins.items():
-        register(name, factory)
-
-
-_register_builtins()
+    _REGISTRY.update(builtins)

@@ -14,7 +14,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy import stats  # available offline per the environment
 
 from repro.common.exceptions import ParameterError
 
@@ -23,6 +22,8 @@ def gaussian_breakpoints(alphabet_size: int) -> np.ndarray:
     """Breakpoints splitting N(0,1) into *alphabet_size* equiprobable bins."""
     if not 2 <= alphabet_size <= 26:
         raise ParameterError("alphabet_size must lie in [2, 26]")
+    from scipy import stats
+
     qs = np.linspace(0, 1, alphabet_size + 1)[1:-1]
     return stats.norm.ppf(qs)
 

@@ -8,6 +8,8 @@ from repro.common.exceptions import ParameterError
 from repro.core import available, create, register
 from repro.core.registry import _REGISTRY
 
+from tests.core.test_cold_import import BUILTIN_COUNT, run_child
+
 
 class TestErrorPaths:
     def test_unknown_name_raises_with_known_names_listed(self):
@@ -61,3 +63,86 @@ class TestCoverage:
         assert create("qdigest", depth=12, k=32) is not None
         assert create("online_kmeans", k=3, dims=2, seed=7) is not None
         assert create("retouched_bloom", capacity=100, fp_rate=0.01) is not None
+
+
+class TestFirstUse:
+    """The builtin table fills on first use; each case is a fresh interpreter."""
+
+    def test_builtin_name_taken_before_any_create(self):
+        out = run_child(
+            """
+            from repro.common.exceptions import ParameterError
+            from repro.core import register
+            try:
+                register("count_min", object)
+            except ParameterError as exc:
+                print(exc)
+            """
+        )
+        assert "already registered" in out
+
+    def test_user_name_registered_first_survives_builtin_load(self):
+        out = run_child(
+            """
+            from repro.core import available, create, register
+            register("my_sketch", dict)
+            names = available()
+            print(len(names), "my_sketch" in names, create("my_sketch", a=1) == {"a": 1})
+            """
+        )
+        assert out.split() == [str(BUILTIN_COUNT + 1), "True", "True"]
+
+    def test_concurrent_first_creates_load_builtins_once(self):
+        out = run_child(
+            """
+            import threading
+            import repro.core.registry as registry
+
+            loads = []
+            original = registry._register_builtins
+
+            def counted():
+                loads.append(1)
+                original()
+
+            registry._register_builtins = counted
+            barrier = threading.Barrier(8)
+            built, errors = [], []
+
+            def first_create():
+                barrier.wait()
+                try:
+                    built.append(registry.create("hyperloglog", precision=8))
+                except Exception as exc:
+                    errors.append(repr(exc))
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=first_create) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            print(sum(t.is_alive() for t in threads), len(built), errors, len(loads))
+            print(len(registry.available()))
+            """
+        )
+        assert out.splitlines() == ["0 8 [] 1", str(BUILTIN_COUNT)]
+
+    def test_unknown_name_as_first_call_lists_every_builtin(self):
+        out = run_child(
+            """
+            from repro.common.exceptions import ParameterError
+            from repro.core import available, create
+            try:
+                create("definitely_not_a_sketch")
+            except ParameterError as exc:
+                message = str(exc)
+            known = message.split("known: ", 1)[1].split(", ")
+            print(known == available(), len(known))
+            """
+        )
+        assert out.split() == ["True", str(BUILTIN_COUNT)]

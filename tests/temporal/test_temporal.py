@@ -24,6 +24,15 @@ class TestSAX:
         assert bp[0] == pytest.approx(-0.6745, abs=1e-3)
         assert bp[1] == pytest.approx(0.0, abs=1e-9)
 
+    def test_breakpoints_are_scipy_norm_ppf_exactly(self):
+        # SAX words depend on these bits; statistics.NormalDist differs by
+        # up to 9e-16, so it is no substitute.
+        from scipy import stats
+
+        for size in range(2, 27):
+            expected = stats.norm.ppf(np.linspace(0, 1, size + 1)[1:-1])
+            assert gaussian_breakpoints(size).tobytes() == expected.tobytes()
+
     def test_breakpoints_bounds(self):
         with pytest.raises(ParameterError):
             gaussian_breakpoints(1)
