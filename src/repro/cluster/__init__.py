@@ -28,16 +28,25 @@ partials of the single-process state; ``SynopsisBase.merge`` folds them
 exactly at query time.
 """
 
-from repro.cluster.columnar import CodecStats, component_table
-from repro.cluster.coordinator import ClusterExecutor
-from repro.cluster.elastic import (
-    AutoscaleDecision,
-    BackpressureAutoscaler,
-    PressurePolicy,
-    RescaleReport,
+from repro.common.lazy import lazy_exports
+
+# Each name loads its submodule on first use: ``leaked_segments`` or the
+# columnar codec must not pull in the coordinator.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.cluster.columnar": ("CodecStats", "component_table"),
+        "repro.cluster.coordinator": ("ClusterExecutor",),
+        "repro.cluster.elastic": (
+            "AutoscaleDecision",
+            "BackpressureAutoscaler",
+            "PressurePolicy",
+            "RescaleReport",
+        ),
+        "repro.cluster.plan": ("ShardPlan", "plan_topology"),
+        "repro.cluster.shm": ("ShmChannel", "SpscRing", "leaked_segments"),
+    },
 )
-from repro.cluster.plan import ShardPlan, plan_topology
-from repro.cluster.shm import ShmChannel, SpscRing, leaked_segments
 
 __all__ = [
     "ClusterExecutor",

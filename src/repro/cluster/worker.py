@@ -46,7 +46,6 @@ previous incarnation" rule of checkpoint/rollback protocols.
 
 from __future__ import annotations
 
-import itertools
 import os
 import queue
 import time
@@ -54,7 +53,6 @@ from collections import deque
 from typing import Any
 
 from repro.common.exceptions import ExecutionError
-from repro.common.rng import derive_seed
 from repro.core import stateship
 from repro.obs.live import DeltaExporter
 from repro.obs.metrics import MetricRegistry
@@ -62,6 +60,7 @@ from repro.obs.tracing import Span
 from repro.platform.faults import NO_FAULTS, FaultInjector
 from repro.platform.runner import TaskRunner
 from repro.platform.topology import Topology
+from repro.platform.tuples import tuple_id_source
 
 from repro.cluster import columnar
 from repro.cluster.plan import ShardPlan
@@ -72,9 +71,7 @@ CRASH_EXIT_CODE = 23
 
 def _tuple_id_factory(worker_id: int):
     """Worker-salted unique tuple ids (no collisions across processes)."""
-    counter = itertools.count(1)
-    salt = 0xC1A57E50 ^ (worker_id + 1)
-    return lambda: derive_seed(salt, next(counter))
+    return tuple_id_source(0xC1A57E50 ^ (worker_id + 1))
 
 
 class ClusterWorker:

@@ -101,8 +101,8 @@ class LocalExecutor:
 
     Owns one :class:`~repro.platform.runner.TaskRunner` holding every
     bolt task; what stays here is the owner's side: pulling spouts,
-    issuing roots, choosing which queue runs next, the acker, and the
-    checkpoint/recover/crash policy.
+    issuing roots, choosing which queue runs next (round-robin over the
+    non-empty ones), the acker, and the checkpoint/recover/crash policy.
     """
 
     def __init__(
@@ -146,6 +146,8 @@ class LocalExecutor:
             if comp.kind == "bolt"
             for task in range(comp.parallelism)
         }
+        #: The non-empty queues, each once, in the order they next run.
+        self._ready: deque[deque] = deque()
         self._high_water: dict[str, int] = dict.fromkeys(topology.bolt_names, 0)
         self._runner = TaskRunner(
             topology,
@@ -171,6 +173,8 @@ class LocalExecutor:
     def _deliver(self, entry: tuple) -> None:
         consumer = entry[0]
         queue = self._queues[(consumer, entry[1])]
+        if not queue:
+            self._ready.append(queue)
         queue.append(entry)
         if len(queue) > self._high_water[consumer]:
             self._high_water[consumer] = len(queue)
@@ -264,12 +268,23 @@ class LocalExecutor:
     # -- bolt side -----------------------------------------------------------
 
     def _process_one(self) -> bool:
-        """Process one queued entry (longest queue first); True if any."""
-        queue = max(self._queues.values(), key=len, default=None)
-        if not queue:
+        """Process one queued entry; True if any.
+
+        Queues take turns, FIFO over the ready ones: the head of
+        ``_ready`` gives up one entry and, if it still holds more, goes
+        to the back before the entry runs. A queue is in ``_ready``
+        exactly while it is non-empty, so between two turns of one queue
+        every other queue runs at most once.
+        """
+        ready = self._ready
+        if not ready:
             return False
+        queue = ready.popleft()
+        entry = queue.popleft()
+        if queue:
+            ready.append(queue)
         try:
-            crashed = self._runner.process(queue.popleft())
+            crashed = self._runner.process(entry)
         except _RecoveryTriggered:
             return True
         if self._acker is not None:
@@ -342,6 +357,7 @@ class LocalExecutor:
     def _clear_in_flight(self) -> None:
         for queue in self._queues.values():
             queue.clear()
+        self._ready.clear()
         self._runner.deltas.clear()
 
     def _recover(self) -> None:

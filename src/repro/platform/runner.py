@@ -37,6 +37,14 @@ Four hooks carry the owner's side of the contract:
     delta behind for it.
 
 ``record_span`` is where process spans of traced entries go.
+
+Routing is fixed per runner: ``__init__`` builds each component's
+``(consumer, grouping, parallelism)`` table once, and :meth:`route`
+walks it. A rescale respawns workers, and so builds new runners, before
+any tuple meets the new parallelism. The ``emit`` callable a bolt is
+given is built once too, and valid only while that bolt's ``process``
+(or ``flush``) call runs: what it collects is routed as soon as the
+call returns.
 """
 
 from __future__ import annotations
@@ -82,6 +90,23 @@ class TaskRunner:
         self.emitted: dict[str, int] = {}
         self._in_flush = False
         self._view = _PayloadView(())  # groupings read only ``.values``
+        components = topology.components
+        #: source -> [(consumer, grouping, consumer parallelism)]
+        self._routes: dict[str, list[tuple[str, Any, int]]] = {
+            name: [
+                (consumer, grouping, components[consumer].parallelism)
+                for consumer, grouping in topology.consumers_of(name)
+            ]
+            for name in components
+        }
+        #: What the running bolt call emitted; routed and cleared after it.
+        self._emitted: list[tuple] = []
+        emitted = self._emitted
+
+        def emit(*values) -> None:
+            emitted.append(values)
+
+        self._emit = emit
 
     def build_bolts(self) -> None:
         """Fresh factory instances for every owned task."""
@@ -107,15 +132,17 @@ class TaskRunner:
             trace = (trace[0], trace[1], trace[2], perf_counter())
         view = self._view
         view.values = values
-        components = self.topology.components
-        for consumer, grouping in self.topology.consumers_of(source):
-            for task in grouping.targets(view, components[consumer].parallelism):
-                tuple_id = self.next_tuple_id()
+        next_tuple_id = self.next_tuple_id
+        deliver = self.deliver
+        should_drop = None if self._in_flush else self.faults.should_drop
+        for consumer, grouping, parallelism in self._routes[source]:
+            for task in grouping.targets(view, parallelism):
+                tuple_id = next_tuple_id()
                 anchor ^= tuple_id
-                if not self._in_flush and self.faults.should_drop():
+                if should_drop is not None and should_drop():
                     self.on_lost()
                     continue
-                self.deliver((consumer, task, values, root, tuple_id, trace))
+                deliver((consumer, task, values, root, tuple_id, trace))
                 delivered += 1
         return delivered, anchor
 
@@ -129,7 +156,7 @@ class TaskRunner:
         """
         component, task, values, root, tuple_id, trace = entry
         bolt = self.bolts[(component, task)]
-        emitted: list[tuple] = []
+        emitted = self._emitted
         span = None
         if trace is not None:
             started = perf_counter()
@@ -146,8 +173,9 @@ class TaskRunner:
                 msg_id=root,
             )
         try:
-            bolt.process(values, lambda *vals: emitted.append(vals))
+            bolt.process(values, self._emit)
         except Exception as exc:  # noqa: BLE001 - component errors are runtime
+            emitted.clear()
             raise ExecutionError(
                 f"bolt {component!r} failed on {values!r}: {exc!r}"
             ) from exc
@@ -166,6 +194,7 @@ class TaskRunner:
                     fan_out += delivered
                     delta ^= anchor
             finally:
+                emitted.clear()
                 if span is not None:
                     span.fan_out = fan_out
         if root is not None:
@@ -184,15 +213,19 @@ class TaskRunner:
             for (name, __), bolt in self.bolts.items():
                 if name != component:
                     continue
-                emitted: list[tuple] = []
+                emitted = self._emitted
                 try:
-                    bolt.flush(lambda *vals: emitted.append(vals))
+                    bolt.flush(self._emit)
                 except Exception as exc:  # noqa: BLE001 - component errors are runtime
+                    emitted.clear()
                     raise ExecutionError(
                         f"bolt {component!r} failed in flush: {exc!r}"
                     ) from exc
-                for values in emitted:
-                    self.route(component, values, None, None)
+                try:
+                    for values in emitted:
+                        self.route(component, values, None, None)
+                finally:
+                    emitted.clear()
             drain()
         finally:
             self._in_flush = False

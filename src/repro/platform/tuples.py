@@ -9,23 +9,46 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
-from repro.common.rng import derive_seed
+from repro.common.rng import derive_seeds
 
-_tuple_counter = itertools.count(1)
+#: Ids mixed per numpy call: large enough to amortise the call, small
+#: enough that a short run does not pre-compute many it never uses.
+ID_BLOCK = 256
 
 
-def next_tuple_id() -> int:
-    """Globally unique, well-scrambled 64-bit tuple id.
+def tuple_id_source(seed: int) -> Callable[[], int]:
+    """A callable returning ``derive_seed(seed, n)`` for n = 1, 2, 3, ...
 
     Ids must look random: the acker tracks tuple trees as the XOR of their
     member ids, and sequential ids would make accidental cancellation
     (``id1 ^ id2 == id3``) likely, silently completing incomplete trees.
     Storm uses random 64-bit ids for the same reason; SplitMix64 over a
     counter gives the same collision behaviour deterministically.
+
+    The ids are mixed :data:`ID_BLOCK` at a time (:func:`derive_seeds`),
+    so a single caller sees exactly the per-id sequence. Callers on
+    several threads never share an id: every refill takes its own block,
+    and two refills racing at worst skip the rest of one of them.
     """
-    return derive_seed(0x7CB1E5, next(_tuple_counter))
+    starts = itertools.count(1, ID_BLOCK)
+    block = iter(())
+
+    def next_id() -> int:
+        """The next well-scrambled 64-bit tuple id of this source."""
+        nonlocal block
+        tuple_id = next(block, None)
+        if tuple_id is None:
+            block = iter(derive_seeds(seed, next(starts), ID_BLOCK).tolist())
+            tuple_id = next(block)
+        return tuple_id
+
+    return next_id
+
+
+#: The process-wide tuple id source (``derive_seed(0x7CB1E5, n)``).
+next_tuple_id = tuple_id_source(0x7CB1E5)
 
 
 @dataclass

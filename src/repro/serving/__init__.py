@@ -20,15 +20,24 @@ topology's merged synopses, and the pieces are:
   repro.serving``.
 """
 
-from repro.serving.cache import MISS, ResultCache
-from repro.serving.query import Query, QueryError, parse_query
-from repro.serving.runtime import ServingRuntime
-from repro.serving.server import ServingServer
-from repro.serving.snapshot import (
-    Snapshot,
-    SnapshotStore,
-    capture_payloads,
-    merge_payloads,
+from repro.common.lazy import lazy_exports
+
+# Each name loads its submodule on first use: the serving demo topology
+# and the query model must not pull in asyncio and the HTTP server.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.serving.cache": ("MISS", "ResultCache"),
+        "repro.serving.query": ("Query", "QueryError", "parse_query"),
+        "repro.serving.runtime": ("ServingRuntime",),
+        "repro.serving.server": ("ServingServer",),
+        "repro.serving.snapshot": (
+            "Snapshot",
+            "SnapshotStore",
+            "capture_payloads",
+            "merge_payloads",
+        ),
+    },
 )
 
 __all__ = [

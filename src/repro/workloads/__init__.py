@@ -8,26 +8,35 @@ burstiness — is explicitly controlled, which is what the algorithms'
 accuracy/space trade-offs actually depend on.
 """
 
-from repro.workloads.graphs import edge_stream, power_law_edge_stream
-from repro.workloads.sensors import (
-    random_walk_series,
-    seasonal_series,
-    sensor_stream_with_anomalies,
-    series_with_missing_values,
+from repro.common.lazy import lazy_exports
+
+# Each name loads its submodule on first use: a Zipf stream must not pull
+# in the serving client's asyncio.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.workloads.graphs": ("edge_stream", "power_law_edge_stream"),
+        "repro.workloads.sensors": (
+            "random_walk_series",
+            "seasonal_series",
+            "sensor_stream_with_anomalies",
+            "series_with_missing_values",
+        ),
+        "repro.workloads.serving": (
+            "WorkloadResult",
+            "query_stream",
+            "run_closed_loop",
+            "run_closed_loop_sync",
+        ),
+        "repro.workloads.spike": (
+            "SPIKE_TRACKED_BOLTS",
+            "build_spike_topology",
+            "spike_records",
+        ),
+        "repro.workloads.text": ("hashtag_stream", "zipf_stream"),
+        "repro.workloads.web": ("click_stream", "session_stream", "visitor_stream"),
+    },
 )
-from repro.workloads.serving import (
-    WorkloadResult,
-    query_stream,
-    run_closed_loop,
-    run_closed_loop_sync,
-)
-from repro.workloads.spike import (
-    SPIKE_TRACKED_BOLTS,
-    build_spike_topology,
-    spike_records,
-)
-from repro.workloads.text import hashtag_stream, zipf_stream
-from repro.workloads.web import click_stream, session_stream, visitor_stream
 
 __all__ = [
     "SPIKE_TRACKED_BOLTS",

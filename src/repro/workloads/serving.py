@@ -19,7 +19,6 @@ The client is stdlib-asyncio only, mirroring the server.
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import json
 import time
@@ -144,6 +143,8 @@ class _HttpUser:
         return self._sha.digest()
 
     async def run(self) -> None:
+        import asyncio  # only the live client needs it, not the query mix
+
         reader, writer = await asyncio.open_connection(self.host, self.port)
         try:
             for doc in self.queries:
@@ -216,6 +217,7 @@ async def run_closed_loop(
     clock: Callable[[], float] | None = None,
 ) -> WorkloadResult:
     """Run the seeded closed-loop workload against a live endpoint."""
+    import asyncio
     if n_users <= 0 or queries_per_user <= 0:
         raise ParameterError("n_users and queries_per_user must be positive")
     ticker = clock if clock is not None else time.perf_counter
@@ -247,4 +249,6 @@ async def run_closed_loop(
 
 def run_closed_loop_sync(host: str, port: int, **kwargs: Any) -> WorkloadResult:
     """:func:`run_closed_loop` from synchronous code (bench, tests)."""
+    import asyncio
+
     return asyncio.run(run_closed_loop(host, port, **kwargs))

@@ -1,8 +1,9 @@
 """derive_seed / make_rng / make_np_rng: determinism and stream separation."""
 
 import numpy as np
+import pytest
 
-from repro.common.rng import derive_seed, make_np_rng, make_rng
+from repro.common.rng import derive_seed, derive_seeds, make_np_rng, make_rng
 
 
 class TestDeriveSeed:
@@ -29,6 +30,28 @@ class TestDeriveSeed:
 
     def test_child_differs_from_parent(self):
         assert derive_seed(42, 0) != 42
+
+
+class TestDeriveSeeds:
+    """The vector form is the scalar form, element for element."""
+
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 1, 0x7CB1E5, 0xC1A57E50 ^ 1, 0xC1A57E50 ^ 3, 2**63, 2**64 - 1, -5],
+    )
+    @pytest.mark.parametrize("first", [0, 1, 257, 2**63 - 2, 2**64 - 3, -4])
+    def test_equals_derive_seed(self, seed, first):
+        got = derive_seeds(seed, first, 6)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [derive_seed(seed, first + i) for i in range(6)]
+
+    def test_long_block(self):
+        assert derive_seeds(42, 1, 1000).tolist() == [
+            derive_seed(42, s) for s in range(1, 1001)
+        ]
+
+    def test_empty(self):
+        assert derive_seeds(42, 1, 0).tolist() == []
 
 
 class TestMakeRng:

@@ -72,3 +72,42 @@ class TestColdImport:
             """
         )
         assert out.split() == [str(BUILTIN_COUNT), "False"]
+
+
+class TestLazyPackages:
+    """``repro.serving``, ``repro.cluster`` and ``repro.workloads`` load a
+    submodule only when one of its names is used."""
+
+    def test_engine_imports_load_no_http_stack_or_coordinator(self):
+        out = run_child(
+            """
+            import repro.platform, repro.serving.demo
+            from repro.cluster import leaked_segments
+            from repro.workloads import zipf_stream
+            heavy = ("asyncio", "repro.serving.server", "repro.cluster.coordinator")
+            print(sorted(m for m in heavy if m in sys.modules))
+            """
+        )
+        assert out.strip() == "[]"
+
+    def test_every_public_name_resolves(self):
+        out = run_child(
+            """
+            import importlib
+            for name in ("repro.serving", "repro.cluster", "repro.workloads"):
+                package = importlib.import_module(name)
+                for attr in package.__all__:
+                    value = getattr(package, attr)
+                    assert getattr(package, attr) is value, (name, attr)
+                assert set(package.__all__) <= set(dir(package)), name
+                try:
+                    package.no_such_name
+                except AttributeError:
+                    pass
+                else:
+                    raise AssertionError(name)
+            from repro.serving import *
+            print(ServingServer.__module__, parse_query.__module__)
+            """
+        )
+        assert out.split() == ["repro.serving.server", "repro.serving.query"]

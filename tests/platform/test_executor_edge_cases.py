@@ -106,3 +106,103 @@ class TestDiamondTopology:
         values = sorted(v[0] for v in bolt.results)
         expected = sorted([i * 2 for i in range(50)] + [-i for i in range(50)])
         assert values == expected
+
+
+def _fan_out_topology(records):
+    builder = TopologyBuilder()
+    builder.set_spout("s", lambda: ListSpout(records))
+    builder.set_bolt(
+        "split", lambda: FlatMapBolt(lambda v: [(w,) for w in v[0].split()]), parallelism=2
+    ).shuffle("s")
+    builder.set_bolt("count", CountBolt, parallelism=3).fields("split", 0)
+    builder.set_bolt("every", CollectorBolt, parallelism=2).all("split")
+    return builder.build()
+
+
+def _watch(ex):
+    """Record every delivered and processed tuple id, checking the ready
+    invariant (each non-empty queue in ``_ready`` once, nothing else) at
+    every processed entry."""
+    delivered, processed = [], []
+    deliver, process = ex._runner.deliver, ex._runner.process
+
+    def watched_deliver(entry):
+        delivered.append(entry[4])
+        deliver(entry)
+
+    def watched_process(entry):
+        ready = [id(q) for q in ex._ready]
+        assert len(ready) == len(set(ready))
+        assert set(ready) == {id(q) for q in ex._queues.values() if q}
+        processed.append(entry[4])
+        return process(entry)
+
+    ex._runner.deliver = watched_deliver
+    ex._runner.process = watched_process
+    return delivered, processed
+
+
+class TestReadyQueues:
+    SENTENCES = [f"w{i % 7} w{i % 3} w{i % 11}" for i in range(300)]
+
+    def test_every_entry_processed_exactly_once(self):
+        ex = LocalExecutor(_fan_out_topology(self.SENTENCES))
+        delivered, processed = _watch(ex)
+        ex.run()
+        assert len(processed) == len(set(processed))
+        assert sorted(processed) == sorted(delivered)
+        assert len(delivered) == 300 + 900 * 3  # split + (count + 2 x every)
+        assert not ex._ready
+
+    def test_queues_take_turns(self):
+        """A queue that keeps refilling cannot starve the others."""
+        ex = LocalExecutor(_fan_out_topology(self.SENTENCES))
+        order = []
+        process = ex._runner.process
+
+        def watched(entry):
+            order.append((entry[0], entry[1]))
+            return process(entry)
+
+        ex._runner.process = watched
+        for __ in range(4):
+            ex._pull_spout()
+        while ex._process_one():
+            pass
+        # Between two turns of one queue every other queue runs at most once.
+        waits = {}
+        for position, key in enumerate(order):
+            waits.setdefault(key, []).append(position)
+        n_queues = len(waits)
+        for positions in waits.values():
+            gaps = [b - a for a, b in zip(positions, positions[1:])]
+            assert all(gap <= n_queues for gap in gaps)
+
+    @pytest.mark.parametrize("semantics", ["exactly_once", "at_least_once"])
+    def test_ready_is_empty_after_crash(self, semantics):
+        ex = LocalExecutor(
+            _fan_out_topology(self.SENTENCES),
+            semantics=semantics,
+            faults=FaultInjector(crash_after=700, seed=2),
+            checkpoint_interval=50,
+        )
+        cleared = []
+        clear = ex._clear_in_flight
+
+        def watched_clear():
+            clear()
+            cleared.append((len(ex._ready), sum(len(q) for q in ex._queues.values())))
+
+        ex._clear_in_flight = watched_clear
+        delivered, processed = _watch(ex)
+        ex.run()
+        assert cleared and all(state == (0, 0) for state in cleared)
+        assert not ex._ready
+        expected = collections.Counter(w for s in self.SENTENCES for w in s.split())
+        counts = collections.Counter()
+        for bolt in ex.bolt_instances("count"):
+            counts.update(bolt.counts)
+        if semantics == "exactly_once":
+            assert counts == expected
+        else:
+            assert set(counts) <= set(expected)

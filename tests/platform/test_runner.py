@@ -74,6 +74,15 @@ def _splitter():
     return FlatMapBolt(lambda v: [(word,) for word in v[0].split()])
 
 
+class _View:
+    """What groupings read of a tuple: its values."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        self.values = values
+
+
 def _entry(values, trace=None, root=ROOT):
     return ("head", 0, values, root, CONSUMED, trace)
 
@@ -212,3 +221,56 @@ class TestErrors:
             runner.flush("head", lambda: None)
         # A failed flush does not leave fault injection suspended.
         assert runner._in_flush is False
+
+    def test_emissions_before_an_error_do_not_leak_into_the_next_entry(self):
+        class EmitThenFail(Bolt):
+            def process(self, values, emit):
+                emit("early")
+                if values[0] == "bad":
+                    raise ValueError("boom")
+
+        runner, delivered = _runner(EmitThenFail)
+        with pytest.raises(ExecutionError):
+            runner.process(_entry(("bad",)))
+        assert delivered == []
+        runner.process(_entry(("good",)))
+        assert [(e[0], e[1], e[2]) for e in delivered] == [
+            ("tail", 0, ("early",)),
+            ("tail", 1, ("early",)),
+        ]
+
+
+class TestRouteTable:
+    def test_two_consumers_route_as_consumers_of_did(self):
+        builder = TopologyBuilder()
+        builder.set_spout("src", lambda: ListSpout([]))
+        builder.set_bolt("keyed", _Windowed, parallelism=3).fields("src", 0)
+        builder.set_bolt("every", _Windowed, parallelism=2).all("src")
+        topology = builder.build()
+        delivered: list[tuple] = []
+        ids = itertools.count(1)
+        runner = TaskRunner(
+            topology,
+            [("keyed", t) for t in range(3)] + [("every", t) for t in range(2)],
+            next_tuple_id=lambda: 1 << next(ids),
+            faults=NO_FAULTS,
+            deliver=delivered.append,
+            on_lost=lambda: None,
+        )
+        payloads = [(word,) for word in ("a", "b", "c", "a", 7, True)]
+        anchors = [runner.route("src", values, ROOT, None) for values in payloads]
+
+        # The per-emission loop the route table replaced.
+        expected = []
+        ref_ids = itertools.count(1)
+        for values in payloads:
+            for consumer, grouping in topology.consumers_of("src"):
+                parallelism = topology.components[consumer].parallelism
+                for task in grouping.targets(_View(values), parallelism):
+                    expected.append((consumer, task, values, ROOT, 1 << next(ref_ids), None))
+        assert delivered == expected
+        assert [n for n, __ in anchors] == [3] * len(payloads)  # 1 keyed + 2 every
+        xor = 0
+        for __, anchor in anchors:
+            xor ^= anchor
+        assert xor == sum(1 << n for n in range(1, len(expected) + 1))
