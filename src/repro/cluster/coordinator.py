@@ -51,6 +51,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.common.exceptions import ExecutionError, ParameterError
+from repro.common.mergeable import fold
 from repro.core import stateship
 from repro.obs.context import Observability
 from repro.obs.flight import FlightRecorder
@@ -1519,8 +1520,4 @@ class ClusterExecutor:
         :class:`~repro.platform.operators.SynopsisBolt`. Partials merge in
         task order, so the result is reproducible run to run.
         """
-        partials = self.bolt_states(name)
-        merged = partials[0]
-        for partial in partials[1:]:
-            merged.merge(partial)
-        return merged
+        return fold(self.bolt_states(name))

@@ -54,7 +54,7 @@ from repro.common.exceptions import (
     ParameterError,
     SplitUnsupported,
 )
-from repro.common.mergeable import SynopsisBase
+from repro.common.mergeable import SynopsisBase, fold
 from repro.core import stateship
 
 from repro.cluster import columnar
@@ -161,9 +161,7 @@ def reshard_states(
                 "a mergeable synopsis (change worker count instead, which "
                 "moves shards without re-sharding them)"
             )
-        merged = partials[0]
-        for partial in partials[1:]:
-            merged.merge(partial)
+        merged = fold(partials)
         try:
             shards: list[SynopsisBase | None] = list(merged.split(new_p))
             strategies[name] = STRATEGY_SPLIT

@@ -243,11 +243,7 @@ class ClusterWorker:
 
     def handle_snapshot(self) -> dict[tuple[str, int], bytes | None]:
         """Capture every owned bolt's checkpoint state as shipped bytes."""
-        out: dict[tuple[str, int], bytes | None] = {}
-        for key, bolt in self._runner.bolts.items():
-            state = bolt.snapshot()
-            out[key] = None if state is None else stateship.capture({"state": state})
-        return out
+        return self._runner.capture()
 
     def handle_restore(self, states: dict[tuple[str, int], bytes | None]) -> None:
         """Roll every owned bolt back to the shipped checkpoint (fresh

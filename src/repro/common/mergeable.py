@@ -216,6 +216,17 @@ class SynopsisBase(ABC):
         return InstrumentedSynopsis(self, registry=registry, name=name)
 
 
+def fold(partials: list[Any]) -> SynopsisBase:
+    """Merge *partials* in order into the first and return it
+    (merge-on-query). Raises :class:`ParameterError` unless there is at
+    least one partial and every partial is a :class:`SynopsisBase`."""
+    if not partials or not all(isinstance(p, SynopsisBase) for p in partials):
+        raise ParameterError("shard state is not a mergeable synopsis")
+    for partial in partials[1:]:
+        partials[0].merge(partial)
+    return partials[0]
+
+
 def _deep_sizeof(obj: Any, seen: set[int]) -> int:
     oid = id(obj)
     if oid in seen:

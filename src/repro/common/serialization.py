@@ -56,6 +56,10 @@ own encodings:
 * an exact ``dict`` with exact-``str`` keys and exact-scalar values is a
   native JSON object (``__strdict__``, insertion order kept).
 
+A ``defaultdict`` keeps a factory that is a builtin type or a ``repro.*``
+class (``__dict__`` + ``factory``), so a restored synopsis does not raise
+``KeyError`` on its next new key; any other factory does not travel.
+
 The containers themselves still join the shared-reference analysis (an
 aliased buffer stays aliased); only the walk over their scalars is skipped.
 Decoding a malformed body raises :class:`SerializationError`, never a raw
@@ -155,6 +159,20 @@ def _resolve_class(path: str) -> type:
     if not isinstance(obj, type):
         raise SerializationError(f"{path!r} does not name a class")
     return obj
+
+
+#: Builtin types a shipped ``defaultdict`` may name as its factory.
+_BUILTIN_FACTORIES = {cls.__name__: cls for cls in (int, float, str, list, dict, set, tuple)}
+
+
+def _factory_path(factory: Any) -> str | None:
+    """A ``defaultdict`` factory's shippable name (None: it does not travel)."""
+    name = getattr(factory, "__name__", None)
+    if name in _BUILTIN_FACTORIES and _BUILTIN_FACTORIES[name] is factory:
+        return name
+    if isinstance(factory, type) and factory.__module__.startswith(_TRUSTED_PREFIXES):
+        return _class_path(factory)
+    return None
 
 
 def _is_trusted_instance(value: Any) -> bool:
@@ -374,11 +392,11 @@ class _Encoder:
         if isinstance(value, dict):
             if _is_str_dict(value):
                 return {"__strdict__": value}
-            return {
-                "__dict__": [
-                    [self.encode(k), self.encode(v)] for k, v in value.items()
-                ]
-            }
+            body = {"__dict__": [[self.encode(k), self.encode(v)] for k, v in value.items()]}
+            factory = _factory_path(getattr(value, "default_factory", None))
+            if factory is not None:
+                body["factory"] = factory
+            return body
         if isinstance(value, tuple):
             return {"__tuple__": [self.encode(v) for v in value]}
         if isinstance(value, list):
@@ -488,7 +506,10 @@ class _Decoder:
                 out[_freeze(self.decode(k))] = self.decode(v)
             return out
         if "__dict__" in value:
-            out_dict: dict = {}
+            factory = value.get("factory")
+            out_dict: dict = {} if factory is None else collections.defaultdict(
+                _BUILTIN_FACTORIES.get(factory) or _resolve_class(factory)
+            )
             register(out_dict)
             for k, v in value["__dict__"]:
                 out_dict[_freeze(self.decode(k))] = self.decode(v)

@@ -18,6 +18,8 @@ traffic, built on :mod:`repro.common.serialization` format v3:
   *constructed* instance of the same class. This is the path for objects
   carrying callable configuration (model functions, extractors): the
   factory supplies the callables, the payload supplies the state.
+* :func:`adopt` — the same for an object already decoded (a checkpoint
+  handed to ``Bolt.restore``): its state moves onto a fresh instance.
 * :func:`fingerprint` — convenience re-export of
   :func:`repro.bench.fingerprint.state_fingerprint` so call sites that
   verify shipped state need one import.
@@ -55,6 +57,7 @@ __all__ = [
     "shipped_class",
     "restore",
     "restore_into",
+    "adopt",
     "fingerprint",
     "register_unshippable",
 ]
@@ -128,6 +131,17 @@ def restore_into(target: Any, payload: bytes) -> Any:
             f"{_class_path(type(target))!r}"
         )
     _apply_object_state(target, doc["state"])
+    return target
+
+
+def adopt(target: Any, obj: Any) -> Any:
+    """Move *obj*'s attribute state onto *target*, a freshly built instance
+    of the same class, which keeps the callables *obj* lacks."""
+    if type(obj) is not type(target):
+        raise SerializationError(
+            f"cannot adopt {_class_path(type(obj))!r} into {_class_path(type(target))!r}"
+        )
+    _apply_object_state(target, _object_state(obj))
     return target
 
 

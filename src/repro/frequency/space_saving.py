@@ -21,6 +21,10 @@ from repro.common.serialization import dump_state, load_state
 
 _TYPE_TAG = "space_saving"
 
+#: The lazy heap is compacted once it holds more than this many entries
+#: per counter, so it stays O(k) however long the stream.
+_HEAP_SLACK = 4
+
 
 class SpaceSaving(SynopsisBase):
     """Top-k / heavy-hitters summary with *k* (count, error) counters."""
@@ -46,12 +50,12 @@ class SpaceSaving(SynopsisBase):
         self.count += weight
         if item in self._counts:
             self._counts[item] += weight
-            heapq.heappush(self._heap, (self._counts[item], next(self._tiebreak), item))
+            self._push(self._counts[item], item)
             return
         if len(self._counts) < self.k:
             self._counts[item] = weight
             self._errors[item] = 0
-            heapq.heappush(self._heap, (weight, next(self._tiebreak), item))
+            self._push(weight, item)
             return
         # Evict the current minimum (skipping stale heap entries).
         while True:
@@ -64,7 +68,19 @@ class SpaceSaving(SynopsisBase):
         del self._errors[victim]
         self._counts[item] = cnt + weight
         self._errors[item] = cnt
-        heapq.heappush(self._heap, (cnt + weight, next(self._tiebreak), item))
+        self._push(cnt + weight, item)
+
+    def _push(self, cnt: int, item: Hashable) -> None:
+        """Push a live heap entry; past ``_HEAP_SLACK * k`` entries, keep
+        only the live ones. Evictions stay bit-exact: the minimum count
+        never decreases, so a stale entry never turns live again, and the
+        order of the live ``(count, tiebreak)`` pairs is unchanged."""
+        heap = self._heap
+        heapq.heappush(heap, (cnt, next(self._tiebreak), item))
+        if len(heap) > _HEAP_SLACK * self.k:
+            counts = self._counts
+            heap[:] = [e for e in heap if counts.get(e[2]) == e[0]]
+            heapq.heapify(heap)
 
     def update_many(self, items: Iterable[Any]) -> None:
         """Batch ingest with :class:`collections.Counter` pre-aggregation.
@@ -158,11 +174,13 @@ class SpaceSaving(SynopsisBase):
         kept = sorted(combined_counts.items(), key=lambda kv: -kv[1])[: self.k]
         self._counts = dict(kept)
         self._errors = {it: combined_errors[it] for it, __ in kept}
-        self._heap = [
-            (cnt, next(self._tiebreak), it) for it, cnt in self._counts.items()
-        ]
-        heapq.heapify(self._heap)
+        self._reheap()
         self.count += other.count
+
+    def _reheap(self) -> None:
+        """One heap entry per tracked counter, in counter order."""
+        self._heap = [(cnt, next(self._tiebreak), it) for it, cnt in self._counts.items()]
+        heapq.heapify(self._heap)
 
     def _split_into(self, n: int) -> list["SpaceSaving"]:
         """Partition counters by key hash.
@@ -179,7 +197,8 @@ class SpaceSaving(SynopsisBase):
             part._counts[item] = cnt
             part._errors[item] = self._errors[item]
             part.count += cnt
-            heapq.heappush(part._heap, (cnt, next(part._tiebreak), item))
+        for part in parts:
+            part._reheap()
         # Tracked counts can undershoot (or, after lossy merges, overshoot)
         # the stream length; shard 0 absorbs the residual so counts re-sum
         # to self.count exactly.
@@ -219,8 +238,5 @@ class SpaceSaving(SynopsisBase):
         obj.count = state["count"]
         obj._counts = dict(state["counts"])
         obj._errors = dict(state["errors"])
-        obj._heap = [
-            (cnt, next(obj._tiebreak), it) for it, cnt in obj._counts.items()
-        ]
-        heapq.heapify(obj._heap)
+        obj._reheap()
         return obj

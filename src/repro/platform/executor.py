@@ -32,12 +32,12 @@ attempt number.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import time
 from collections import deque
 
 from repro.common.exceptions import ExecutionError, ParameterError
+from repro.core import stateship
 from repro.obs.context import Observability
 from repro.obs.tracing import Span, event_span, lifecycle_span, next_span_id
 from repro.platform.ack import Acker
@@ -119,6 +119,8 @@ class LocalExecutor:
             raise ParameterError(f"semantics must be one of {_SEMANTICS}")
         if checkpoint_interval <= 0:
             raise ParameterError("checkpoint_interval must be positive")
+        if max_queue <= 0:
+            raise ParameterError("max_queue must be positive")
         self.topology = topology
         self.semantics = semantics
         self.faults = faults or NO_FAULTS
@@ -204,8 +206,8 @@ class LocalExecutor:
     def _pull_spout(self) -> bool:
         """Pull one payload from each non-throttled spout; True if any."""
         pulled = False
-        throttled = any(len(q) >= self.max_queue for q in self._queues.values())
-        if throttled:
+        # Only a non-empty queue can be full, and those are the ready ones.
+        if any(len(q) >= self.max_queue for q in self._ready):
             return False
         reliable = self._acker is not None
         for index, (name, spout) in enumerate(self._spouts.items()):
@@ -342,13 +344,11 @@ class LocalExecutor:
             self._spouts[name].fail(local_msg)
 
     def _take_checkpoint(self) -> None:
-        """Consistent snapshot: drain in-flight work, then copy all state."""
+        """Consistent snapshot: drain in-flight work, then capture every
+        bolt's state once, as stateship bytes (like the cluster's)."""
         self._drain()
         self._checkpoint = {
-            "bolts": {
-                key: copy.deepcopy(bolt.snapshot())
-                for key, bolt in self._runner.bolts.items()
-            },
+            "bolts": self._runner.capture(),
             "offsets": {name: spout.offset for name, spout in self._spouts.items()},
         }
         self.metrics.checkpoints += 1
@@ -371,7 +371,8 @@ class LocalExecutor:
         self._start_times.clear()
         states = self._checkpoint["bolts"] if self._checkpoint else {}
         for key, bolt in self._runner.bolts.items():
-            bolt.restore(copy.deepcopy(states.get(key)))
+            payload = states.get(key)
+            bolt.restore(None if payload is None else stateship.restore(payload)["state"])
         for name, spout in self._spouts.items():
             spout.rewind(self._checkpoint["offsets"][name] if self._checkpoint else 0)
 
@@ -472,19 +473,14 @@ class LocalExecutor:
 
         The single-process mirror of
         :meth:`repro.cluster.coordinator.ClusterExecutor.merged_synopsis`:
-        each task's ``snapshot()`` (a deep copy, so the live bolts are
-        untouched) merges in task order. Requires the bolt's snapshot
-        state to be a mergeable synopsis, e.g.
+        each task's ``snapshot()`` view merges in task order into a fresh
+        copy of the first, so the live bolts are untouched. Requires the
+        bolt's snapshot state to be a mergeable synopsis, e.g.
         :class:`~repro.platform.operators.SynopsisBolt`.
         """
-        from repro.common.mergeable import SynopsisBase
+        from repro.common.mergeable import SynopsisBase, fold
 
-        partials = [bolt.snapshot() for bolt in self.bolt_instances(name)]
-        if not all(isinstance(p, SynopsisBase) for p in partials):
-            raise ParameterError(
-                f"bolt {name!r} snapshot state is not a mergeable synopsis"
-            )
-        merged = partials[0]
-        for partial in partials[1:]:
-            merged.merge(partial)
-        return merged
+        first, *rest = [bolt.snapshot() for bolt in self.bolt_instances(name)]
+        if isinstance(first, SynopsisBase):
+            first = stateship.restore(stateship.capture(first))
+        return fold([first, *rest])

@@ -11,6 +11,7 @@ from collections import defaultdict
 from typing import Any, Callable
 
 from repro.common.exceptions import ParameterError
+from repro.core import stateship
 from repro.platform.topology import Bolt
 from repro.windowing.windows import TumblingWindow
 
@@ -87,14 +88,16 @@ class SynopsisBolt(Bolt):
     drained before every checkpoint snapshot and at end-of-stream, so the
     observable synopsis state is identical to per-tuple updates.
 
-    The live synopsis is available as ``.synopsis`` after the run; snapshots
-    deep-copy it, so sketch state participates in exactly-once checkpoints.
+    The live synopsis is available as ``.synopsis`` after the run; a
+    snapshot is that synopsis itself, drained (a view the caller copies,
+    see :meth:`Bolt.snapshot`), so sketch state participates in
+    exactly-once checkpoints.
 
     Observability: pass ``instrument=True`` (or a name string) to wrap the
     synopsis in an :class:`~repro.obs.instrument.InstrumentedSynopsis`
     publishing update/batch-size/memory metrics into *registry* (default:
     the process-wide registry). The wrapper is transparent to checkpoints
-    — snapshots copy only the underlying sketch state, and instrument
+    — snapshots expose only the underlying sketch state, and instrument
     counters deliberately survive restores (observed work stays observed).
     """
 
@@ -151,19 +154,17 @@ class SynopsisBolt(Bolt):
         self._drain()
 
     def snapshot(self):
-        import copy
-
         self._drain()
-        return copy.deepcopy(self._unwrap())
+        return self._unwrap()
 
     def restore(self, state) -> None:
-        import copy
-
         # Buffered tuples are pre-checkpoint state: drop them — the spout
-        # replays everything after the restored snapshot.
+        # replays everything after the restored snapshot. A decoded
+        # checkpoint lacks callable configuration (extractors, model
+        # functions): a fresh factory instance supplies it.
         self._buffer = []
-        restored = copy.deepcopy(state) if state is not None else self.factory()
-        self._synopsis = self._wrap(restored)
+        fresh = self.factory()
+        self._synopsis = self._wrap(fresh if state is None else stateship.adopt(fresh, state))
 
 
 class TumblingWindowBolt(Bolt):
@@ -190,14 +191,10 @@ class TumblingWindowBolt(Bolt):
             emit(window.start, window.end, self.agg(list(window.items)))
 
     def snapshot(self):
-        import copy
-
-        return copy.deepcopy(self._window)
+        return self._window
 
     def restore(self, state) -> None:
-        import copy
-
-        self._window = copy.deepcopy(state) if state is not None else TumblingWindow(self.size)
+        self._window = state if state is not None else TumblingWindow(self.size)
 
 
 class JoinBolt(Bolt):

@@ -53,6 +53,7 @@ from time import perf_counter
 from typing import Any, Callable, Iterable
 
 from repro.common.exceptions import ExecutionError
+from repro.core import stateship
 from repro.obs.tracing import Span, next_span_id
 from repro.platform.faults import FaultInjector
 from repro.platform.groupings import _PayloadView
@@ -116,6 +117,16 @@ class TaskRunner:
             bolt = comp.factory()
             bolt.prepare(task, comp.parallelism)
             self.bolts[(name, task)] = bolt
+
+    def capture(self) -> dict[tuple[str, int], bytes | None]:
+        """Every owned task's checkpoint: its ``snapshot()`` view copied
+        once, as :mod:`repro.core.stateship` bytes (None when the bolt
+        has no state)."""
+        out: dict[tuple[str, int], bytes | None] = {}
+        for key, bolt in self.bolts.items():
+            state = bolt.snapshot()
+            out[key] = None if state is None else stateship.capture({"state": state})
+        return out
 
     def route(self, source: str, values: tuple, root, trace) -> tuple[int, int]:
         """Fan one emission of *source* out to every consumer's targets.

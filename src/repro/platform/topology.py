@@ -159,11 +159,14 @@ class Bolt(ABC):
         """Handle one payload; call ``emit(*values)`` zero or more times."""
 
     def snapshot(self) -> Any:
-        """State to checkpoint (must be deep-copyable). Default: stateless."""
+        """State to checkpoint: a drained, read-only view, valid until the
+        next ``process``, ``flush`` or ``restore``; callers that keep it
+        copy it once (:mod:`repro.core.stateship` bytes). Default: stateless."""
         return None
 
     def restore(self, state: Any) -> None:
-        """Restore checkpointed state. Default: stateless."""
+        """Restore checkpointed state; *state* is a fresh copy the bolt now
+        owns. Default: stateless."""
 
     def flush(self, emit: Callable[..., None]) -> None:
         """Called at end-of-stream; emit any buffered output (windows)."""

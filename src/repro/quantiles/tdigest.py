@@ -128,9 +128,12 @@ class TDigest(SynopsisBase):
         return (self.delta,)
 
     def _merge_into(self, other: "TDigest") -> None:
-        other._flush()
-        self._buffer.extend(zip(other._means, other._weights))
-        self._buffer.extend(other._buffer)
+        # Flush a probe, not *other*: a merge must not mutate its argument
+        # (often a live shard).
+        probe = TDigest(other.delta, other.buffer_size)
+        probe._means, probe._weights, probe._buffer = other._means, other._weights, other._buffer
+        probe._flush()
+        self._buffer.extend(zip(probe._means, probe._weights))
         self.count += other.count
         self._flush()
 

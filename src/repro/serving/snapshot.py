@@ -26,8 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.common.exceptions import ParameterError
-from repro.common.mergeable import SynopsisBase
+from repro.common.mergeable import fold
 from repro.core import stateship
 from repro.obs.metrics import MetricRegistry, NULL_REGISTRY
 
@@ -51,15 +50,7 @@ def capture_payloads(executor: Any, bolt: str) -> list[bytes]:
 
 def merge_payloads(payloads: list[bytes]) -> Any:
     """Fold shard payloads into one queryable synopsis (merge-on-query)."""
-    if not payloads:
-        raise ParameterError("no shard payloads to merge")
-    partials = [stateship.restore(payload)["state"] for payload in payloads]
-    if not all(isinstance(p, SynopsisBase) for p in partials):
-        raise ParameterError("captured shard state is not a mergeable synopsis")
-    merged = partials[0]
-    for partial in partials[1:]:
-        merged.merge(partial)
-    return merged
+    return fold([stateship.restore(payload)["state"] for payload in payloads])
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Cross-module serialization round-trips (speed layer -> serving layer)."""
 
 import json
+from collections import defaultdict
 
 import pytest
 
@@ -109,3 +110,39 @@ class TestServingSummaryCapture:
         restored = stateship.restore(payload)
         assert stateship.fingerprint(restored) == stateship.fingerprint(summary)
         assert restored["topk"]._heap == summary["topk"]._heap
+
+
+class TestDefaultDictState:
+    """A ``defaultdict`` keeps a shippable factory across a capture, so a
+    restored synopsis (naive Bayes token tables, Hoeffding class counts)
+    takes its next missing-key update instead of raising ``KeyError``."""
+
+    def test_builtin_and_library_factories_survive(self):
+        from repro.ml.hoeffding import _GaussianStat
+
+        state = {
+            "floats": defaultdict(float, {"x": 1.5}),
+            "lists": defaultdict(list, {2: [1, 2]}),
+            "stats": defaultdict(_GaussianStat),
+        }
+        state["alias"] = state["floats"]
+        restored = stateship.restore(stateship.capture({"state": state}))["state"]
+        assert restored["floats"].default_factory is float
+        assert restored["lists"].default_factory is list
+        assert restored["stats"].default_factory is _GaussianStat
+        assert restored["floats"] == {"x": 1.5} and restored["lists"] == {2: [1, 2]}
+        assert restored["alias"] is restored["floats"]
+        restored["floats"]["new"] += 1.0
+        assert restored["floats"]["new"] == 1.0
+
+    def test_other_factories_travel_as_plain_dicts(self):
+        state = {"d": defaultdict(lambda: 7, {"a": 1})}
+        restored = stateship.restore(stateship.capture({"state": state}))["state"]
+        assert type(restored["d"]) is dict and restored["d"] == {"a": 1}
+
+    def test_untrusted_factory_name_is_refused(self):
+        payload = stateship.capture({"state": {"d": defaultdict(int)}})
+        forged = payload.replace(b'"int"', b'"os:system"')
+        assert forged != payload
+        with pytest.raises(SerializationError):
+            stateship.restore(forged)

@@ -1,10 +1,11 @@
 """Executor edge cases: backpressure, component errors, replay caps."""
 
 import collections
+import random
 
 import pytest
 
-from repro.common.exceptions import ExecutionError
+from repro.common.exceptions import ExecutionError, ParameterError
 from repro.platform import (
     Bolt,
     CollectorBolt,
@@ -34,6 +35,36 @@ class TestBackpressure:
         assert len(sink.results) == 200 * 50
         high_water = metrics.components["bolt:sink"].queue_high_water
         assert high_water <= 64 + 50  # one amplification burst of slack
+
+    @pytest.mark.parametrize("max_queue", [0, -1])
+    def test_rejects_nonpositive_max_queue(self, max_queue):
+        builder = TopologyBuilder()
+        builder.set_spout("s", lambda: ListSpout([1]))
+        builder.set_bolt("sink", CollectorBolt).shuffle("s")
+        with pytest.raises(ParameterError):
+            LocalExecutor(builder.build(), max_queue=max_queue)
+
+    @pytest.mark.parametrize("max_queue", [1, 3, 8])
+    def test_pulls_stop_exactly_when_one_queue_is_full(self, max_queue):
+        """Throttling is "some bolt queue holds max_queue entries", checked
+        over every queue, at every step of a seeded pull/process mix."""
+        builder = TopologyBuilder()
+        builder.set_spout("s", lambda: ListSpout(list(range(400))))
+        builder.set_bolt("a", CollectorBolt, parallelism=3).shuffle("s")
+        builder.set_bolt("b", CollectorBolt).global_("s")
+        ex = LocalExecutor(builder.build(), max_queue=max_queue)
+        rnd = random.Random(max_queue)
+        throttled_pulls = 0
+        for __ in range(2_000):
+            if rnd.random() < 0.6:
+                full = any(len(q) >= max_queue for q in ex._queues.values())
+                before = ex._source_pulls
+                pulled = ex._pull_spout()
+                assert pulled == (not full and before < 400)
+                throttled_pulls += full
+            else:
+                ex._process_one()
+        assert throttled_pulls > 0
 
 
 class TestErrorPropagation:
