@@ -20,7 +20,6 @@ from repro.analysis.rules import (  # noqa: F401 - registration side effects
     sl011_nondeterministic_state,
     sl012_label_cardinality,
     sl013_pickled_hot_path,
-    sl014_unthrottled_telemetry,
     sl015_async_blocking,
     sl016_split_contract,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "sl011_nondeterministic_state",
     "sl012_label_cardinality",
     "sl013_pickled_hot_path",
-    "sl014_unthrottled_telemetry",
     "sl015_async_blocking",
     "sl016_split_contract",
 ]

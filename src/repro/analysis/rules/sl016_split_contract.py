@@ -16,7 +16,8 @@ rescale time — the worst possible moment to discover them:
 * **state surgery stays inside the barrier.** In ``elastic`` packages,
   any function that captures, re-shards or restores live cluster state
   (``.merge(...)``/``.split(...)`` on synopses, ``stateship``
-  capture/restore, or worker ``snapshot``/``restore`` messages) is
+  capture/restore, or worker ``snapshot``/``restore`` messages, sent
+  directly or through the coordinator's ``_broadcast``) is
   *migration surgery*; calling one outside a ``with
   migration_barrier(...)`` block operates on a torn cut — tuples still
   in flight mutate shards mid-copy (**error** at the call site).
@@ -92,15 +93,14 @@ def _is_surgery_call(call: ast.Call) -> str | None:
         and func.value.id == "stateship"
     ):
         return f"stateship.{func.attr}()"
-    if func.attr == "put" and call.args:
-        arg = call.args[0]
-        if isinstance(arg, ast.Tuple) and arg.elts:
-            head = arg.elts[0]
-            if (
-                isinstance(head, ast.Constant)
-                and head.value in _SURGERY_MESSAGES
-            ):
-                return f"worker {head.value!r} message"
+    if func.attr in ("put", "_broadcast") and call.args:
+        # ``inbox.put(("snapshot", epoch))`` or the coordinator's
+        # ``_broadcast("snapshot")``, which sends it to every worker.
+        head = call.args[0]
+        if isinstance(head, ast.Tuple) and head.elts:
+            head = head.elts[0]
+        if isinstance(head, ast.Constant) and head.value in _SURGERY_MESSAGES:
+            return f"worker {head.value!r} message"
     return None
 
 
@@ -191,8 +191,8 @@ class SplitContractRule(Rule):
             if not _in_elastic_package(relpath):
                 continue
             try:
-                source = open(facts["path"], encoding="utf-8").read()
-                tree = ast.parse(source)
+                with open(facts["path"], encoding="utf-8") as handle:
+                    tree = ast.parse(handle.read())
             except (OSError, SyntaxError, KeyError):
                 continue
             surgery: dict[str, ast.FunctionDef] = {}

@@ -17,7 +17,9 @@ same delivery-semantics ladder, N worker processes instead of one loop:
   outbox ring) for forwarding (star transport: simple, deterministic, and with
   field-grouped keys the large majority of traffic stays shard-local, so
   per-shard synopses see their keys in exact global stream order).
-* **Reliability** — Storm's XOR acker lives here, fed by per-envelope ack
+* **Reliability** — the :class:`~repro.platform.ack.RootLedger` that
+  ``LocalExecutor`` also uses (roots, Storm's XOR acker, replay caps,
+  traced roots, source offsets) lives here, fed by per-envelope ack
   deltas. Quiescence is credit-based: every envelope out is one reply in,
   so ``outstanding == 0`` means the whole cluster is idle — no probing
   rounds needed. Incomplete trees at idle are failed and replayed
@@ -27,6 +29,11 @@ same delivery-semantics ladder, N worker processes instead of one loop:
   rollback: respawn the dead worker, restore every worker from the last
   checkpoint, rewind the sources, bump the epoch so stale traffic is
   discarded.
+* **Control** — each exchange has one path: every wait takes replies
+  through ``_reply``; checkpoint, rollback, flush, query and rescale
+  send through ``_broadcast``; other threads' captures and rescales go
+  through one request queue (``_submit``); and ``_reshape`` starts,
+  resizes and stops the worker set.
 * **Merge-on-query** — :meth:`ClusterExecutor.merged_synopsis` ships each
   shard's partial synopsis back and folds them with
   ``SynopsisBase.merge``, task order, exactly the Lambda-architecture
@@ -40,15 +47,15 @@ registry.
 
 from __future__ import annotations
 
-import itertools
 import json
 import multiprocessing
 import queue as queue_mod
 import threading
 import time
+from concurrent import futures
 from multiprocessing import connection as mp_connection
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.common.exceptions import ExecutionError, ParameterError
 from repro.common.mergeable import fold
@@ -57,8 +64,8 @@ from repro.obs.context import Observability
 from repro.obs.flight import FlightRecorder
 from repro.obs.health import HealthMonitor, HealthSnapshot
 from repro.obs.live import DEFAULT_FLUSH_INTERVAL, TelemetryAbsorber
-from repro.obs.tracing import Span, event_span, lifecycle_span, next_span_id
-from repro.platform.ack import Acker
+from repro.obs.tracing import event_span
+from repro.platform.ack import RootLedger
 from repro.platform.executor import _SEMANTICS, topological_bolt_order
 from repro.platform.faults import FaultInjector
 from repro.platform.metrics import ExecutionMetrics
@@ -75,48 +82,12 @@ class _FlushInterrupted(Exception):
     """A worker died mid-flush; recovery ran — re-enter the main pump."""
 
 
-class _RescaleRequest:
-    """A cross-thread rescale request (the elastic-runtime hook).
+class _WorkerDied(ExecutionError):
+    """Worker(s) died while the coordinator awaited their replies."""
 
-    Same handshake as :class:`_CaptureRequest`: created by
-    :meth:`ClusterExecutor.rescale` on the requesting thread, serviced by
-    the pump loop (or inline when no pump is running), handed back
-    through ``ready`` with either ``report`` or ``error`` set.
-    """
-
-    __slots__ = ("n_workers", "parallelism", "reason", "ready", "report", "error")
-
-    def __init__(
-        self,
-        n_workers: int | None,
-        parallelism: dict[str, int] | None,
-        reason: str,
-    ):
-        self.n_workers = n_workers
-        self.parallelism = parallelism
-        self.reason = reason
-        self.ready = threading.Event()
-        self.report: Any = None
-        self.error: BaseException | None = None
-
-
-class _CaptureRequest:
-    """A cross-thread shard-capture request (the serving-layer snapshot hook).
-
-    Created by :meth:`ClusterExecutor.capture_shards` on the requesting
-    thread, serviced by the pump loop (or inline when no pump is running)
-    and handed back through ``ready``. ``shards``/``error`` carry the
-    outcome; only the servicing thread writes them, and only after it
-    sets ``ready`` does the requester read them.
-    """
-
-    __slots__ = ("name", "ready", "shards", "error")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.ready = threading.Event()
-        self.shards: list[bytes] | None = None
-        self.error: BaseException | None = None
+    def __init__(self, dead: list[int], expected: str):
+        super().__init__(f"worker(s) {dead} died while awaiting {expected}")
+        self.dead = dead
 
 
 class ClusterExecutor:
@@ -171,14 +142,10 @@ class ClusterExecutor:
         self.max_outstanding = max_outstanding
         self.worker_faults = dict(worker_faults or {})
         self.obs = obs
-        self.max_replays_per_message = max_replays_per_message
         self.reply_timeout = reply_timeout
         self.ring_capacity = ring_capacity
         self.max_frame = max_frame
         self.plan: ShardPlan = plan_topology(topology, n_workers)
-        self._comp_ids, self._comp_names = columnar.component_table(
-            self.plan.components
-        )
         self._channels: list[ShmChannel] = []
         #: Data-plane accounting, keyed for the bench's byte columns:
         #: bytes moved over shm rings, frame count, bytes that fell back
@@ -217,8 +184,6 @@ class ClusterExecutor:
         else:
             self._m_bytes = self._m_frames = None
             self._m_backpressure = self._m_ring_used = None
-        self._trace_attempts: dict[int, int] = {}
-        self._trace_roots: dict[int, Span] = {}
 
         # Live telemetry (tentpole of the obs plane): interval defaults on
         # whenever the run is observed, 0/None-without-obs disables it.
@@ -263,6 +228,9 @@ class ClusterExecutor:
                 self._spouts[comp.name] = spout.split(comp.parallelism)
             else:
                 self._spouts[comp.name] = [spout]
+        self._ledger = RootLedger(
+            self._spouts, self.metrics, max_replays_per_message, obs
+        )
 
         try:
             self._mp = multiprocessing.get_context("fork")
@@ -282,37 +250,30 @@ class ClusterExecutor:
         # salvages what the dead channel still holds and replaces it.
         self._results: list[Any] = []
         self._results_rr = 0
-        self._started = False
         self._closed = False
 
         # Run state.
         self.epoch = 0
         self._outstanding = 0
         self._buffers: list[list[tuple]] = [[] for __ in range(n_workers)]
-        self._acker = Acker() if semantics != "at_most_once" else None
-        self._root_counter = itertools.count(1)
-        self._root_sources: dict[int, tuple[str, int, int]] = {}
-        self._start_times: dict[int, float] = {}
-        self._replay_counts: dict[int, int] = {}
         self._checkpoint: dict | None = None
         self._pulls_since_checkpoint = 0
         self._recover_requested = False
         #: A bolt raised in a worker: sticky, every later pump re-raises.
         self._worker_error: str | None = None
 
-        # Serving-layer snapshot hook: capture requests queued by other
-        # threads, serviced at consistent points of the pump loop (or
-        # inline under the control lock when no pump is running).
-        self._capture_requests: queue_mod.SimpleQueue = queue_mod.SimpleQueue()
+        # Snapshot captures and rescales requested by other threads, as
+        # (call, future) pairs in arrival order, served at consistent
+        # points of the pump loop (or inline under the control lock when
+        # no pump is running); the future hands the outcome back.
+        self._requests: queue_mod.SimpleQueue = queue_mod.SimpleQueue()
         self._control_lock = threading.Lock()
         self._pumping = False
 
-        # Elastic runtime: cross-thread rescale requests ride the same
-        # queue-and-service pattern; the optional autoscaler is consulted
-        # every `tick_every` pump iterations (workload-relative cadence).
+        # Elastic runtime: the optional autoscaler is consulted every
+        # `tick_every` pump iterations (workload-relative cadence).
         self.autoscaler = autoscaler
         self.rescale_reports: list[Any] = []
-        self._rescale_requests: queue_mod.SimpleQueue = queue_mod.SimpleQueue()
         self._spout_throttled = 0
         self._pump_iterations = 0
 
@@ -326,22 +287,20 @@ class ClusterExecutor:
         self.close()
 
     def _spawn_worker(self, worker_id: int) -> None:
-        respawn = worker_id < len(self._processes)
+        """Start (or, after a crash, restart) worker *worker_id*."""
         channel = self._channels[worker_id]
-        if respawn:
-            # The dead incarnation may have left a torn/partial write past
-            # ``head`` and unread frames before it; both are dead traffic
-            # of a discarded epoch. Reset before the fork so the new
-            # incarnation inherits an empty ring.
-            channel.reset()
+        # A dead incarnation may have left a torn/partial write past
+        # ``head`` and unread frames before it; both are dead traffic of a
+        # discarded epoch. Reset before the fork so the new incarnation
+        # inherits an empty ring.
+        channel.reset()
         inbox = self._mp.Queue()
-        if respawn:
-            # The dead incarnation's results queue may end in a frame its
-            # feeder half-wrote at the crash (recv on it would block
-            # forever) and a write lock that died held; _handle_crash
-            # salvaged it already, so the new incarnation gets a fresh
-            # channel and the survivors' queues are never touched.
-            self._results[worker_id] = self._mp.Queue()
+        # A dead incarnation's results queue may end in a frame its feeder
+        # half-wrote at the crash (recv on it would block forever) and a
+        # write lock that died held; _handle_crash salvaged it already, so
+        # the new incarnation gets a fresh channel and the survivors'
+        # queues are never touched.
+        self._results[worker_id] = self._mp.Queue()
         process = self._mp.Process(
             target=worker_main,
             args=(
@@ -360,96 +319,97 @@ class ClusterExecutor:
             daemon=True,
         )
         process.start()
-        if respawn:
-            # The dead worker's inbox may hold unread envelopes; detach its
-            # feeder thread so dropping the queue can never block on join.
+        if self._inboxes[worker_id] is not None:
+            # The old inbox may hold unread envelopes; detach its feeder
+            # thread so dropping the queue can never block on join.
             self._inboxes[worker_id].cancel_join_thread()
-            self._inboxes[worker_id] = inbox
-            self._processes[worker_id] = process
-        else:
-            self._inboxes.append(inbox)
-            self._processes.append(process)
+        self._inboxes[worker_id] = inbox
+        self._processes[worker_id] = process
 
     def _ensure_started(self) -> None:
         if self._closed:
             raise ExecutionError("executor already closed")
-        if self._started:
-            return
-        self._results = [self._mp.Queue() for __ in range(self.n_workers)]
-        if not self._channels:
-            # Segments must exist before the forks: children inherit the
-            # mapped buffers, so no name handshake or handle pickling.
-            self._channels = [
-                ShmChannel(worker_id, self.ring_capacity)
-                for worker_id in range(self.n_workers)
-            ]
-        for worker_id in range(self.n_workers):
-            self._spawn_worker(worker_id)
-        self._started = True
+        if not self._processes:
+            self._reshape(self.n_workers)
 
     def close(self) -> None:
         """Stop every worker, absorb its metrics/spans, reap processes and
         unlink every shared-memory segment."""
-        if not self._started or self._closed:
+        if not self._closed:
             self._closed = True
-            self._destroy_channels()
-            self._close_health_log()
-            return
-        self._closed = True
-        self._stop_workers()
-        if self._health is not None:
-            self._publish_health(reason="final")
-        self._join_workers()
-        self._destroy_channels()
-        self._close_health_log()
-
-    def _stop_workers(self) -> None:
-        """Tell every live worker to stop and absorb its final telemetry.
-        A worker that dies mid-stop is simply dropped."""
-        pending = {w for w in range(self.n_workers) if self._processes[w].is_alive()}
-        for worker_id in pending:
-            self._inboxes[worker_id].put(("stop", self.epoch))
-        deadline = time.perf_counter() + self.reply_timeout
-        while pending and time.perf_counter() < deadline:
-            # Keep outbox rings flowing: a worker finishing its last
-            # envelope may be blocked pushing re-route frames, and it only
-            # sees "stop" after that push succeeds.
-            self._discard_outbox_frames()
-            try:
-                kind, worker_id, __, payload = self._results_get(0.1)
-            except queue_mod.Empty:
-                pending = {w for w in pending if self._processes[w].is_alive()}
-                continue
-            if kind == "telemetry":
-                # The worker's final forced flush (queue FIFO puts it
-                # ahead of its "stopped") — plus any interval flushes
-                # still in flight.
-                self._absorb_telemetry(worker_id, payload)
-            elif kind == "stopped":
-                pending.discard(worker_id)
-
-    def _join_workers(self) -> None:
-        for process in self._processes:
-            process.join(timeout=2.0)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.terminate()
-                process.join(timeout=2.0)
-
-    def _close_health_log(self) -> None:
+            started = bool(self._processes)
+            self._reshape(0)
+            if started and self._health is not None:
+                self._publish_health(reason="final")
         if self._health_log is not None:
             self._health_log.close()
             self._health_log = None
 
-    def _destroy_channels(self) -> None:
-        """Unlink every shm segment (idempotent; workers are gone)."""
-        for channel in self._channels:
-            channel.destroy()
+    def _reshape(self, n_workers: int) -> None:
+        """Stop the running worker set, if any, and start *n_workers*
+        workers on a fresh plan (none: :meth:`close`).
 
-    def _discard_outbox_frames(self) -> None:
-        """Drop outbox traffic unexamined (shutdown path only)."""
-        for channel in self._channels:
-            while channel.outbox.try_pop() is not None:
-                pass
+        The one worker-set lifecycle: first start, rescale and close.
+        Stopping absorbs each worker's final telemetry (queue FIFO puts
+        its final forced flush ahead of its "stopped") and seals its
+        incarnation, so a later set's fresh counters stack on the right
+        base; it never raises — a worker that dies mid-stop is simply
+        dropped, and an operator error reported now changes nothing. The
+        epoch bump makes straggler traffic of the old set inert. Retired
+        shm rings are unlinked *now* so ``leaked_segments()`` stays clean,
+        and new ones are created before the forks: children inherit the
+        mapped buffers, so no name handshake or handle pickling.
+        """
+        if self._processes:
+            pending = {w for w, p in enumerate(self._processes) if p.is_alive()}
+            for worker_id in pending:
+                self._inboxes[worker_id].put(("stop", self.epoch))
+            deadline = time.perf_counter() + self.reply_timeout
+            while pending and time.perf_counter() < deadline:
+                # Keep outbox rings flowing: a worker finishing its last
+                # envelope may be blocked pushing re-route frames, and it
+                # only sees "stop" after that push succeeds. The frames
+                # are dropped unexamined.
+                for channel in self._channels:
+                    while channel.outbox.try_pop() is not None:
+                        pass
+                try:
+                    reply = self._reply(0.1)
+                except ExecutionError:
+                    continue
+                if reply is None:
+                    pending = {w for w in pending if self._processes[w].is_alive()}
+                elif reply and reply[0] == "stopped":
+                    pending.discard(reply[1])
+            for worker_id, process in enumerate(self._processes):
+                process.join(timeout=2.0)
+                if process.is_alive():  # pragma: no cover - defensive
+                    process.terminate()
+                    process.join(timeout=2.0)
+                self._inboxes[worker_id].cancel_join_thread()
+                if self._absorber is not None:
+                    self._absorber.seal_worker(worker_id)
+            self.epoch += 1
+        for channel in self._channels[n_workers:]:
+            channel.destroy()
+        del self._channels[n_workers:]
+        for worker_id in range(len(self._channels), n_workers):
+            self._channels.append(ShmChannel(worker_id, self.ring_capacity))
+        self._outstanding = 0
+        if not n_workers:
+            return
+        self.n_workers = n_workers
+        self.plan = plan_topology(self.topology, n_workers)
+        self._comp_ids, self._comp_names = columnar.component_table(
+            self.plan.components
+        )
+        self._buffers = [[] for __ in range(n_workers)]
+        self._inboxes = [None] * n_workers
+        self._processes = [None] * n_workers
+        self._results = [None] * n_workers
+        self._results_rr = 0
+        for worker_id in range(n_workers):
+            self._spawn_worker(worker_id)
 
     # -- routing -----------------------------------------------------------
 
@@ -462,6 +422,7 @@ class ClusterExecutor:
     ) -> int:
         """Route a batch of spout payloads; returns delivered copies."""
         delivered = 0
+        acker = self._ledger.acker if self.semantics != "at_most_once" else None
         for consumer, grouping in self.topology.consumers_of(source):
             comp = self.topology.components[consumer]
             routes, khashes = grouping.route_batch(payloads, comp.parallelism)
@@ -472,8 +433,8 @@ class ClusterExecutor:
             ):
                 for task in targets:
                     tuple_id = next_tuple_id()
-                    if self._acker is not None and root is not None:
-                        self._acker.anchor(root, tuple_id)
+                    if acker is not None:
+                        acker.anchor(root, tuple_id)
                     self._buffer_entry(
                         (consumer, task, payload, root, tuple_id, trace), khash
                     )
@@ -623,6 +584,14 @@ class ClusterExecutor:
             operators[comp.name] = (comp.kind, owners)
         return operators
 
+    def _parallelism(self) -> dict[str, int]:
+        """Each bolt's current task count."""
+        return {
+            comp.name: comp.parallelism
+            for comp in self.topology.components.values()
+            if comp.kind == "bolt"
+        }
+
     def _component_counts(self) -> dict[str, tuple[int, int]]:
         counts: dict[str, tuple[int, int]] = {}
         for comp in self.topology.components.values():
@@ -636,8 +605,7 @@ class ClusterExecutor:
             return None
         for worker_id in range(self.n_workers):
             alive = bool(
-                self._started
-                and worker_id < len(self._processes)
+                worker_id < len(self._processes)
                 and self._processes[worker_id].is_alive()
             )
             in_used = out_used = 0
@@ -692,11 +660,7 @@ class ClusterExecutor:
         last = self.rescale_reports[-1] if self.rescale_reports else None
         return {
             "workers": self.n_workers,
-            "parallelism": {
-                comp.name: comp.parallelism
-                for comp in self.topology.components.values()
-                if comp.kind == "bolt"
-            },
+            "parallelism": self._parallelism(),
             "rescales": len(self.rescale_reports),
             "last_rescale": None if last is None else last.to_dict(),
             "autoscaler": (
@@ -730,86 +694,52 @@ class ClusterExecutor:
             self._spout_throttled += 1
             return False
         pulled = False
-        reliable = self._acker is not None
-        for name, partitions in self._spouts.items():
-            spout_metrics = self.metrics.components[f"spout:{name}"]
-            for part_idx, spout in enumerate(partitions):
-                if reliable:
-                    payloads: list[tuple] = []
-                    roots: list[int | None] = []
-                    traces: list = []
-                    for __ in range(self.batch_size):
-                        payload = spout.next_tuple()
-                        if payload is None:
-                            break
-                        root = next(self._root_counter)
-                        local_msg = getattr(spout, "last_offset", root)
-                        self._root_sources[root] = (name, part_idx, local_msg)
-                        self._acker.register(root, 0)
-                        self._start_times.setdefault(root, time.perf_counter())
-                        if self._health is not None:
-                            # The newest issued position is the source
-                            # frontier the watermarks chase.
-                            if self._event_time_fn is not None:
-                                event_time = self._event_time_fn(name, payload)
-                                if event_time is not None:
-                                    self._health.set_source_frontier(event_time)
-                            else:
-                                self._health.set_source_frontier(root)
-                        payloads.append(payload)
-                        roots.append(root)
-                        traces.append(self._trace_root(name, root))
-                        self._pulls_since_checkpoint += 1
-                else:
-                    payloads = spout.next_batch(self.batch_size)
-                    roots = [None] * len(payloads)
-                    traces = [None] * len(payloads)
-                    if self._health is not None and self._event_time_fn is not None:
-                        for payload in payloads:
-                            event_time = self._event_time_fn(name, payload)
-                            if event_time is not None:
-                                self._health.set_source_frontier(event_time)
-                if not payloads:
-                    continue
-                pulled = True
-                spout_metrics.emitted += len(payloads)
-                self._route_spout_batch(name, payloads, roots, traces)
+        ledger = self._ledger
+        reliable = self.semantics != "at_most_once"
+        for flat, (name, spout) in enumerate(ledger.partitions):
+            if not reliable:
+                payloads = spout.next_batch(self.batch_size)
+                roots: list[int | None] = [None] * len(payloads)
+                traces: list = [None] * len(payloads)
+            else:
+                payloads, roots, traces = [], [], []
+                for __ in range(self.batch_size):
+                    payload = spout.next_tuple()
+                    if payload is None:
+                        break
+                    local_msg = getattr(spout, "last_offset", None)
+                    root = ledger.issue(flat, local_msg)
+                    trace = None
+                    if self._sampler is not None:
+                        span = ledger.trace(flat, local_msg, root)
+                        if span is not None:
+                            self._spans.record(span)
+                            trace = (span.trace_id, span.span_id, span.attempt)
+                    payloads.append(payload)
+                    roots.append(root)
+                    traces.append(trace)
+                self._pulls_since_checkpoint += len(payloads)
+            if not payloads:
+                continue
+            pulled = True
+            if self._health is not None:
+                # The newest issued position is the source frontier the
+                # watermarks chase.
+                if self._event_time_fn is not None:
+                    for payload in payloads:
+                        event_time = self._event_time_fn(name, payload)
+                        if event_time is not None:
+                            self._health.set_source_frontier(event_time)
+                elif reliable:
+                    self._health.set_source_frontier(roots[-1])
+            self.metrics.components[f"spout:{name}"].emitted += len(payloads)
+            self._route_spout_batch(name, payloads, roots, traces)
         if (
             self.semantics == "exactly_once"
             and self._pulls_since_checkpoint >= self.checkpoint_interval
         ):
             self._take_checkpoint()
         return pulled
-
-    def _trace_root(self, spout_name: str, root: int):
-        if self._sampler is None:
-            return None
-        trace_id = self._sampler.sample(root)
-        if trace_id is None:
-            return None
-        attempt = self._trace_attempts.get(root, 0) + 1
-        self._trace_attempts[root] = attempt
-        span = Span(
-            trace_id=trace_id,
-            span_id=next_span_id(),
-            parent_id=None,
-            component=f"spout:{spout_name}",
-            kind="spout_emit",
-            start=time.perf_counter(),
-            attempt=attempt,
-            msg_id=root,
-        )
-        self._trace_roots[root] = span
-        self._spans.record(span)
-        return (trace_id, span.span_id, attempt)
-
-    def _spouts_exhausted(self) -> bool:
-        for partitions in self._spouts.values():
-            for spout in partitions:
-                exhausted = getattr(spout, "exhausted", None)
-                if exhausted is False:
-                    return False
-        return True
 
     # -- reply side --------------------------------------------------------
 
@@ -912,38 +842,48 @@ class ClusterExecutor:
             # recovery rolls the cluster back past them, exactly as the
             # epoch guard would have discarded them in-line.
 
-    def _drain_replies(self, block: bool) -> bool:
-        """Apply at most one worker reply; True when one was applied."""
-        self._drain_outbox_rings()
-        timeout = 0.05 if block else 0.0
+    def _reply(self, timeout: float) -> tuple | None:
+        """Take one worker reply and apply what every wait applies alike.
+
+        Telemetry is absorbed whatever its epoch (cumulative state,
+        pid-guarded against dead incarnations); any other reply from an
+        earlier epoch belongs to a dead incarnation and is dropped;
+        ``done`` returns a credit and is applied; ``error`` ends the run.
+        Returns ``(kind, worker_id, payload)`` for any other current reply
+        (the acks a caller awaits), ``()`` when the reply was consumed
+        here, and None when nothing was readable within *timeout*.
+        """
         try:
-            message = self._results_get(timeout)
+            kind, worker_id, epoch, payload = self._results_get(timeout)
         except queue_mod.Empty:
-            if self._outstanding > 0:
-                self._check_liveness()
-            return False
-        kind, worker_id, epoch, payload = message
+            return None
         if kind == "telemetry":
-            # Telemetry is epoch-agnostic (cumulative state, pid-guarded
-            # against dead incarnations) — absorb it whenever it arrives.
             self._absorb_telemetry(worker_id, payload)
-            return True
-        if epoch != self.epoch:
-            return True  # stale incarnation: discard, but we made progress
-        if kind == "done":
+        elif epoch != self.epoch:
+            pass  # stale incarnation: discard, but it was progress
+        elif kind == "done":
             self._outstanding -= 1
             self._apply_reply(payload)
         elif kind == "error":
-            self._fail_run(worker_id, payload)
-        elif kind != "stopped":  # pragma: no cover - defensive
-            raise ExecutionError(f"unexpected worker reply {kind!r} mid-run")
-        return True
+            # An operator error is deterministic, so never a crash to
+            # recover from or a message to replay: the run is over.
+            self._worker_error = f"worker {worker_id}: {payload}"
+            raise ExecutionError(self._worker_error)
+        else:
+            return kind, worker_id, payload
+        return ()
 
-    def _fail_run(self, worker_id: int, message: str) -> None:
-        """A worker reported an operator error: deterministic, so never a
-        crash to recover from or a message to replay — the run is over."""
-        self._worker_error = f"worker {worker_id}: {message}"
-        raise ExecutionError(self._worker_error)
+    def _drain_replies(self, block: bool) -> bool:
+        """Apply at most one worker reply; True when one was consumed."""
+        self._drain_outbox_rings()
+        reply = self._reply(0.05 if block else 0.0)
+        if reply is None:
+            if self._outstanding > 0:
+                self._check_liveness()
+            return False
+        if reply and reply[0] != "stopped":  # pragma: no cover - defensive
+            raise ExecutionError(f"unexpected worker reply {reply[0]!r} mid-run")
+        return True
 
     def _apply_reply(self, payload: dict) -> None:
         for component, count in payload["processed"].items():
@@ -955,29 +895,11 @@ class ClusterExecutor:
         if payload["out_bytes"]:
             self._account_data(payload["out_bytes"], frames=payload["remote_frames"])
             self.transport_stats["codec_pickled_bytes"] += payload["out_pickled"]
-        if self._acker is not None:
-            for root, delta in payload["deltas"]:
-                if root is None or root not in self._acker._pending:
-                    continue
-                if self._acker.ack(root, delta):
-                    self._complete(root)
+        self._ledger.ack(payload["deltas"])
         if payload["lost"] and self.semantics == "exactly_once":
             # A lost delivery is unrecoverable forward progress loss under
             # exactly-once: roll the cluster back to the last checkpoint.
             self._recover_requested = True
-
-    def _complete(self, root: int) -> None:
-        self.metrics.components["spout:__all__"].acked += 1
-        started = self._start_times.pop(root, None)
-        if started is not None:
-            self.metrics.record_latency(time.perf_counter() - started)
-        source = self._root_sources.pop(root, None)
-        if source is not None:
-            name, part_idx, local_msg = source
-            self._spouts[name][part_idx].ack(local_msg)
-        root_span = self._trace_roots.pop(root, None)
-        if root_span is not None:
-            self._spans.record(lifecycle_span(root_span, "ack", time.perf_counter()))
 
     def _dead_workers(self) -> list[int]:
         return [
@@ -996,34 +918,6 @@ class ClusterExecutor:
     def _event(self, kind: str) -> None:
         if self._spans is not None:
             self._spans.record(event_span("coordinator", kind, time.perf_counter()))
-
-    def _fail_pending(self) -> None:
-        """Fail every incomplete tuple tree at cluster idle (timeout).
-
-        Replay caps are keyed by *source record*, not by root id — every
-        replay re-enters the spout and is assigned a fresh root, so a
-        root-keyed cap would never bound a poisoned message.
-        """
-        assert self._acker is not None
-        for root in list(self._acker._pending):
-            self._acker.fail(root)
-            self._start_times.pop(root, None)
-            self.metrics.components["spout:__all__"].failed += 1
-            source = self._root_sources.pop(root, None)
-            root_span = self._trace_roots.pop(root, None)
-            if root_span is not None:
-                self._spans.record(
-                    lifecycle_span(root_span, "fail", time.perf_counter())
-                )
-            if source is None:
-                continue
-            replays = self._replay_counts.get(source, 0)
-            if replays >= self.max_replays_per_message:
-                continue  # give up: poisoned/unlucky message
-            self._replay_counts[source] = replays + 1
-            self.metrics.replays += 1
-            name, part_idx, local_msg = source
-            self._spouts[name][part_idx].fail(local_msg)
 
     def _handle_crash(self, dead: list[int]) -> None:
         """A worker process died (or a loss forced a rollback): respawn
@@ -1059,12 +953,9 @@ class ClusterExecutor:
         else:
             # No checkpoints: the dead worker's state is gone (Storm
             # without Trident). Incomplete trees replay under
-            # at-least-once; under at-most-once they are simply lost.
-            if self._acker is not None:
-                self._fail_pending()
-                self._acker = Acker()
-                self._root_sources.clear()
-                self._start_times.clear()
+            # at-least-once; at-most-once issued no roots, so nothing
+            # replays and lost trees are simply gone.
+            self._ledger.fail_pending()
         self._recover_requested = False
         if dead and self._health is not None:
             # Post-mortem: a crash-reason snapshot (built from state that
@@ -1081,54 +972,55 @@ class ClusterExecutor:
     def _rollback(self) -> None:
         """Restore every worker from the last checkpoint, rewind sources."""
         self._event("recovery")
-        states = (self._checkpoint or {}).get("workers", {})
-        for worker_id in range(self.n_workers):
-            self._inboxes[worker_id].put(
-                ("restore", self.epoch, states.get(worker_id, {}))
-            )
-        self._await_all("restore_ok")
-        offsets = (self._checkpoint or {}).get("offsets")
-        for name, partitions in self._spouts.items():
-            for part_idx, spout in enumerate(partitions):
-                target = offsets[name][part_idx] if offsets is not None else 0
-                spout.rewind(target)
-        self._acker = Acker()
-        self._root_sources.clear()
-        self._start_times.clear()
+        checkpoint = self._checkpoint or {}
+        states = checkpoint.get("workers", {})
+        self._broadcast("restore", lambda worker_id: states.get(worker_id, {}))
+        self._ledger.rewind(checkpoint.get("offsets"))
         self._pulls_since_checkpoint = 0
 
-    def _await_all(self, expected_kind: str) -> dict[int, Any]:
-        """Collect one *expected_kind* reply per worker for this epoch."""
+    def _broadcast(
+        self,
+        kind: str,
+        arg: Callable[[int], Any] | None = None,
+        workers: Iterable[int] | None = None,
+    ) -> dict[int, Any]:
+        """Send ``(kind, epoch[, arg(worker)])`` to *workers* (default:
+        every worker) and return each one's ``<kind>_ok`` payload."""
+        workers = range(self.n_workers) if workers is None else workers
+        for worker_id in workers:
+            self._inboxes[worker_id].put(
+                (kind, self.epoch)
+                if arg is None
+                else (kind, self.epoch, arg(worker_id))
+            )
+        return self._await_all(f"{kind}_ok", workers)
+
+    def _await_all(self, expected: str, workers: Iterable[int]) -> dict[int, Any]:
+        """Collect one *expected* reply per worker in *workers* for this
+        epoch. The wait is deadline-bounded and crash-aware: on a quiet
+        queue it drains outbox rings (a worker may be pushing re-route
+        frames) and raises :class:`_WorkerDied` if any worker is dead."""
+        pending = set(workers)
         payloads: dict[int, Any] = {}
         deadline = time.perf_counter() + self.reply_timeout
-        while len(payloads) < self.n_workers:
+        while pending:
             if time.perf_counter() > deadline:
-                raise ExecutionError(f"timed out awaiting {expected_kind} replies")
-            try:
-                kind, worker_id, epoch, payload = self._results_get(0.1)
-            except queue_mod.Empty:
+                raise ExecutionError(f"timed out awaiting {expected} replies")
+            reply = self._reply(0.1)
+            if reply is None:
                 self._drain_outbox_rings()
                 dead = self._dead_workers()
                 if dead:
-                    raise ExecutionError(
-                        f"worker(s) {dead} died while awaiting {expected_kind}"
-                    )
+                    raise _WorkerDied(dead, expected)
                 continue
-            if kind == "telemetry":
-                self._absorb_telemetry(worker_id, payload)
+            if not reply:
                 continue
-            if epoch != self.epoch:
-                continue
-            if kind != expected_kind:
-                if kind == "done":  # stale same-epoch work: apply normally
-                    self._outstanding -= 1
-                    self._apply_reply(payload)
-                    continue
-                if kind == "error":
-                    self._fail_run(worker_id, payload)
+            kind, worker_id, payload = reply
+            if kind != expected:
                 raise ExecutionError(
-                    f"expected {expected_kind}, got {kind!r} from worker {worker_id}"
+                    f"expected {expected}, got {kind!r} from worker {worker_id}"
                 )
+            pending.discard(worker_id)
             payloads[worker_id] = payload
         return payloads
 
@@ -1154,31 +1046,35 @@ class ClusterExecutor:
             if self._recover_requested:
                 break
 
+    def _quiesce(self, refused: str) -> None:
+        """Drain every outstanding envelope; if a loss surfaced meanwhile,
+        refuse with *refused* (the pump's recovery runs instead)."""
+        self._drain_outstanding()
+        if self._recover_requested:
+            raise ExecutionError(f"cluster is recovering; {refused}")
+
     def _take_checkpoint(self) -> None:
         """Cluster-wide consistent snapshot: drain, snapshot, record."""
-        self._pulls_since_checkpoint = 0
         self._drain_outstanding()
         if self._recover_requested:
             return  # a loss surfaced while draining; recover instead
-        for worker_id in range(self.n_workers):
-            self._inboxes[worker_id].put(("snapshot", self.epoch))
         try:
-            worker_states = self._await_all("snapshot_ok")
-        except ExecutionError:
-            dead = self._dead_workers()
-            if dead:  # a crash mid-snapshot: recover, checkpoint next round
-                self._handle_crash(dead)
-                return
-            raise
-        self._checkpoint = {
-            "workers": worker_states,
-            "offsets": {
-                name: [spout.offset for spout in partitions]
-                for name, partitions in self._spouts.items()
-            },
-        }
+            worker_states = self._broadcast("snapshot")
+        except _WorkerDied as died:  # recover, checkpoint next round
+            self._handle_crash(died.dead)
+            return
+        self._keep_checkpoint(worker_states)
         self.metrics.checkpoints += 1
         self._event("checkpoint")
+
+    def _keep_checkpoint(self, worker_states: dict[int, Any]) -> None:
+        """Make *worker_states*, at the sources' current offsets, the cut
+        a rollback returns to."""
+        self._checkpoint = {
+            "workers": worker_states,
+            "offsets": self._ledger.offsets(),
+        }
+        self._pulls_since_checkpoint = 0
 
     # -- main loop ---------------------------------------------------------
 
@@ -1212,11 +1108,10 @@ class ClusterExecutor:
                     break
             finally:
                 self._pumping = False
-                # Serve any capture/rescale request that raced the shutdown
-                # of the pump: after the flag flips, new requesters service
-                # their own queue inline, so this drain closes the window.
-                self._service_capture_requests()
-                self._service_rescale_requests()
+                # Serve any request that raced the shutdown of the pump:
+                # after the flag flips, new requesters serve the queue
+                # inline, so this drain closes the window.
+                self._serve_requests()
         self.metrics.wall_seconds = time.perf_counter() - started
         self.metrics.backpressure_waits = self.transport_stats[
             "backpressure_waits"
@@ -1233,8 +1128,7 @@ class ClusterExecutor:
             if self._recover_requested:
                 self._handle_crash([])  # loss-triggered rollback, no death
             self._maybe_publish_health()
-            self._service_capture_requests()
-            self._service_rescale_requests()
+            self._serve_requests()
             self._maybe_autoscale()
             progressed = self._pull_spouts()
             # Absorb every reply already waiting before shipping: remote
@@ -1249,66 +1143,34 @@ class ClusterExecutor:
             self._flush_buffers()
             if progressed or self._outstanding > 0 or any(self._buffers):
                 continue
-            if not self._spouts_exhausted():
+            if not self._ledger.exhausted():
                 continue
-            if self._acker is not None and self._acker.n_pending:
-                self._fail_pending()
+            if self._ledger.acker.n_pending:
+                self._ledger.fail_pending()
                 continue
             break
 
     def _flush_all_bolts(self) -> None:
         """End-of-stream flush, topological order, cluster-wide.
 
-        The wait loop is deadline-bounded *and* crash-aware: on a quiet
-        queue it drains outbox rings (a flushing worker may be pushing
-        re-route frames) and checks worker liveness, so a crashed worker
-        triggers recovery and a flush restart (:class:`_FlushInterrupted`)
-        instead of hanging the coordinator until the deadline.
+        A worker that dies mid-flush triggers recovery and a flush restart
+        (:class:`_FlushInterrupted`) instead of a hang or an error.
         """
-        order = topological_bolt_order(self.topology)
-        for name in order:
-            self._drain_outstanding()
+        for name in topological_bolt_order(self.topology):
+            self._drain_outstanding()  # the upstream flush's cascade too
             if self._recover_requested:
                 raise _FlushInterrupted(name)
-            owners = sorted(
-                {
-                    self.plan.worker_of(name, task)
-                    for task in range(self.topology.components[name].parallelism)
-                }
-            )
-            for worker_id in owners:
-                self._inboxes[worker_id].put(("flush", self.epoch, name))
-            deadline = time.perf_counter() + self.reply_timeout
-            pending = set(owners)
-            while pending:
-                if time.perf_counter() > deadline:
-                    raise ExecutionError(f"timed out flushing bolt {name!r}")
-                try:
-                    kind, worker_id, epoch, payload = self._results_get(0.1)
-                except queue_mod.Empty:
-                    self._drain_outbox_rings()
-                    dead = self._dead_workers()
-                    if dead:
-                        self._handle_crash(dead)
-                        raise _FlushInterrupted(name)
-                    continue
-                if kind == "telemetry":
-                    self._absorb_telemetry(worker_id, payload)
-                    continue
-                if epoch != self.epoch:
-                    continue
-                if kind == "flush_ok":
-                    pending.discard(worker_id)
-                    self._apply_reply(payload)
-                elif kind == "done":
-                    self._outstanding -= 1
-                    self._apply_reply(payload)
-                elif kind == "error":
-                    self._fail_run(worker_id, payload)
-            self._flush_buffers()
-            self._drain_outstanding()
-            if self._recover_requested:
-                raise _FlushInterrupted(name)
+            owners = self._operator_owners()[name][1]
+            try:
+                replies = self._broadcast("flush", lambda __: name, owners)
+            except _WorkerDied as died:
+                self._handle_crash(died.dead)
+                raise _FlushInterrupted(name) from None
+            for payload in replies.values():
+                self._apply_reply(payload)
+        self._drain_outstanding()
+        if self._recover_requested:
+            raise _FlushInterrupted
 
     # -- merge-on-query ----------------------------------------------------
 
@@ -1320,106 +1182,80 @@ class ClusterExecutor:
         drained, so the shards form a tuple-consistent cut.
         """
         comp = self.topology.components[name]
-        for worker_id in range(self.n_workers):
-            self._inboxes[worker_id].put(("query", self.epoch, name))
         shards: dict[tuple[str, int], bytes] = {}
-        for payload in self._await_all("query_ok").values():
+        for payload in self._broadcast("query", lambda __: name).values():
             shards.update(payload)
         return [shards[(name, task)] for task in range(comp.parallelism)]
 
-    def _service_capture_requests(self) -> None:
-        """Serve queued shard-capture requests (the serving snapshot hook).
+    def _serve_requests(self) -> None:
+        """Serve queued cross-thread requests in arrival order.
 
         Runs between pump rounds — and once more as the run winds down —
-        so a serving thread gets a frozen, consistent view (outstanding
-        envelopes drained first) without ever touching the worker queues
-        from its own thread. Failures are handed back to the requester
-        rather than raised here: a snapshot that cannot be taken must not
-        kill ingest.
+        so a requesting thread never touches the worker queues itself.
+        Failures are handed back to the requester rather than raised
+        here: a snapshot or rescale that cannot run (e.g. mid-recovery)
+        must not kill ingest.
         """
         while True:
             try:
-                request = self._capture_requests.get_nowait()
+                call, future = self._requests.get_nowait()
             except queue_mod.Empty:
                 return
             try:
-                self._drain_outstanding()
-                if self._recover_requested:
-                    raise ExecutionError(
-                        "cluster is recovering; snapshot capture retry needed"
-                    )
-                request.shards = self._query_shards(request.name)
+                future.set_result(call())
             except BaseException as exc:  # hand the failure to the requester
-                request.error = exc
-            request.ready.set()
+                future.set_exception(exc)
+
+    def _submit(
+        self, call: Callable[[], Any], timeout: float | None, what: str
+    ) -> Any:
+        """Run *call* on the thread driving the workers; return its result.
+
+        Safe from any thread: while :meth:`run` is pumping, the request
+        queues up and the pump serves it at a consistent point; when no
+        pump is active the caller serves the queue (its own request
+        included) inline under the control lock.
+        """
+        future: futures.Future = futures.Future()
+        self._requests.put((call, future))
+        deadline = time.perf_counter() + (timeout or self.reply_timeout)
+        while not futures.wait((future,), 0.0 if not self._pumping else 0.05).done:
+            # Blocking briefly, not polling: another requester may be
+            # serving the queue inline, and a 0 s retry would spin a core.
+            if not self._pumping and self._control_lock.acquire(timeout=0.05):
+                try:
+                    self._ensure_started()
+                    self._serve_requests()
+                finally:
+                    self._control_lock.release()
+                continue
+            if time.perf_counter() > deadline:
+                raise ExecutionError(f"timed out {what}")
+        return future.result()
 
     def capture_shards(self, name: str, timeout: float | None = None) -> list[bytes]:
         """Snapshot bolt *name*'s shard partials as stateship payloads.
 
         The serving layer's snapshot hook, safe to call from another
-        thread while :meth:`run` is pumping: the request queues up and the
-        pump services it at a consistent point, so the returned payloads
-        are one frozen snapshot-isolated cut of the bolt's state — ingest
+        thread while :meth:`run` is pumping (see :meth:`_submit`): the
+        returned payloads are one frozen snapshot-isolated cut of the
+        bolt's state, taken with outstanding envelopes drained — ingest
         proceeds underneath, and later queries against the restored
-        payloads can never see a torn or moving view. When no pump is
-        active the caller services its own request under the control
-        lock. Payloads are in task order; decode with
-        :func:`repro.core.stateship.restore` (and merge for the
-        merge-on-query fold).
+        payloads can never see a torn or moving view. Payloads are in
+        task order; decode with :func:`repro.core.stateship.restore` (and
+        merge for the merge-on-query fold).
         """
         comp = self.topology.components.get(name)
         if comp is None or comp.kind != "bolt":
             raise ParameterError(f"no bolt named {name!r}")
-        request = _CaptureRequest(name)
-        self._capture_requests.put(request)
-        deadline = time.perf_counter() + (timeout or self.reply_timeout)
-        while not request.ready.wait(0.0 if not self._pumping else 0.05):
-            if not self._pumping and self._control_lock.acquire(blocking=False):
-                # No pump running: serve the queue (ours included) inline.
-                try:
-                    self._ensure_started()
-                    self._service_capture_requests()
-                finally:
-                    self._control_lock.release()
-                continue
-            if time.perf_counter() > deadline:
-                raise ExecutionError(
-                    f"timed out capturing {name!r} shard snapshots"
-                )
-        if request.error is not None:
-            raise request.error
-        assert request.shards is not None
-        return request.shards
+
+        def capture() -> list[bytes]:
+            self._quiesce("snapshot capture retry needed")
+            return self._query_shards(name)
+
+        return self._submit(capture, timeout, f"capturing {name!r} shard snapshots")
 
     # -- elastic runtime ---------------------------------------------------
-
-    def _service_rescale_requests(self) -> None:
-        """Serve queued rescale requests (the elastic-runtime hook).
-
-        Same contract as :meth:`_service_capture_requests`: runs between
-        pump rounds (or inline under the control lock) so the migration
-        barrier drains from a thread that owns the worker queues.
-        Failures go back to the requester — a rescale that cannot run
-        (e.g. mid-recovery) must not kill ingest.
-        """
-        while True:
-            try:
-                request = self._rescale_requests.get_nowait()
-            except queue_mod.Empty:
-                return
-            from repro.cluster.elastic.migrate import perform_rescale
-
-            try:
-                request.report = perform_rescale(
-                    self,
-                    n_workers=request.n_workers,
-                    parallelism=request.parallelism,
-                    reason=request.reason,
-                    trigger="manual",
-                )
-            except BaseException as exc:  # hand the failure to the requester
-                request.error = exc
-            request.ready.set()
 
     def rescale(
         self,
@@ -1431,31 +1267,26 @@ class ClusterExecutor:
         """Rescale the running cluster to *n_workers* / per-bolt
         *parallelism* without replaying the sources.
 
-        Safe to call from any thread while :meth:`run` is pumping: the
-        request queues up and the pump services it at a consistent point
-        (quiescence barrier, capture, split/merge re-shard, rewire,
-        restore — see :mod:`repro.cluster.elastic.migrate`). When no pump
-        is active the caller services its own request under the control
-        lock. Returns the timed
-        :class:`~repro.cluster.elastic.migrate.RescaleReport` (None for a
-        no-op request).
+        Safe to call from any thread while :meth:`run` is pumping (see
+        :meth:`_submit`); the pump serves it at a consistent point
+        (quiescence barrier, capture, split/merge re-shard, reshape,
+        restore — see :mod:`repro.cluster.elastic.migrate`). Returns the
+        timed :class:`~repro.cluster.elastic.migrate.RescaleReport` (None
+        for a no-op request).
         """
-        request = _RescaleRequest(n_workers, parallelism, reason)
-        self._rescale_requests.put(request)
-        deadline = time.perf_counter() + (timeout or self.reply_timeout)
-        while not request.ready.wait(0.0 if not self._pumping else 0.05):
-            if not self._pumping and self._control_lock.acquire(blocking=False):
-                try:
-                    self._ensure_started()
-                    self._service_rescale_requests()
-                finally:
-                    self._control_lock.release()
-                continue
-            if time.perf_counter() > deadline:
-                raise ExecutionError("timed out awaiting rescale")
-        if request.error is not None:
-            raise request.error
-        return request.report
+        from repro.cluster.elastic.migrate import perform_rescale
+
+        return self._submit(
+            lambda: perform_rescale(
+                self,
+                n_workers=n_workers,
+                parallelism=parallelism,
+                reason=reason,
+                trigger="manual",
+            ),
+            timeout,
+            "awaiting rescale",
+        )
 
     def _maybe_autoscale(self) -> None:
         """Consult the autoscaler every ``tick_every`` pump iterations.
@@ -1476,13 +1307,7 @@ class ClusterExecutor:
 
         snapshot = self._publish_health(reason="autoscale")
         decision = scaler.observe(
-            snapshot,
-            n_workers=self.n_workers,
-            parallelism={
-                comp.name: comp.parallelism
-                for comp in self.topology.components.values()
-                if comp.kind == "bolt"
-            },
+            snapshot, n_workers=self.n_workers, parallelism=self._parallelism()
         )
         if decision.action == "hold":
             return

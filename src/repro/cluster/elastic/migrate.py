@@ -16,8 +16,9 @@ The protocol, in barrier order:
 1. **Barrier** — drain every outstanding envelope (the same quiescence
    predicate checkpoints use). At the barrier the cluster state *is* a
    consistent cut: nothing is in flight, every buffer is empty.
-2. **Capture** — snapshot every ``(bolt, task)`` shard on every worker,
-   exactly the checkpoint capture path.
+2. **Capture** — snapshot every ``(bolt, task)`` shard on every worker
+   through the coordinator's ``_broadcast("snapshot")``, exactly the
+   checkpoint capture path.
 3. **Re-shard** — for each bolt whose parallelism changes, fold its task
    partials with ``merge`` and deal them back out with ``split(new_p)``.
    Synopses without a mathematically valid split
@@ -27,10 +28,12 @@ The protocol, in barrier order:
    partitioned accumulation + merge-on-query is the library's core
    equivalence. Bolts with unchanged parallelism move their payloads
    byte-for-byte (any state shape, synopsis or not).
-4. **Rewire** — stop the old worker set cleanly (sealing each telemetry
-   incarnation), re-plan the topology over the new worker count,
-   reset retained shm rings / destroy retired ones / create fresh ones
-   for growth, bump the epoch, and fork the new worker set.
+4. **Rewire** — apply the new parallelism and credit window, then let
+   the coordinator's ``_reshape`` (the worker-set lifecycle that also
+   starts and closes the cluster) stop the old worker set cleanly
+   (sealing each telemetry incarnation), re-plan over the new worker
+   count, reset retained shm rings / destroy retired ones / create fresh
+   ones for growth, bump the epoch, and fork the new worker set.
 5. **Restore** — deal the re-sharded payloads by the new plan and restore
    each worker, exactly the rollback path. Under exactly-once the restore
    set becomes the new checkpoint baseline with the *current* spout
@@ -39,7 +42,8 @@ The protocol, in barrier order:
 
 Everything that touches captured state runs inside
 :func:`migration_barrier` — streamlint's SL016 rule enforces that
-discipline statically.
+discipline statically. This module drives the protocol through the
+executor's methods and assigns none of its private state.
 """
 
 from __future__ import annotations
@@ -56,10 +60,6 @@ from repro.common.exceptions import (
 )
 from repro.common.mergeable import SynopsisBase, fold
 from repro.core import stateship
-
-from repro.cluster import columnar
-from repro.cluster.plan import plan_topology
-from repro.cluster.shm import ShmChannel
 
 #: Re-shard strategies recorded per resized bolt (surfaced in the
 #: rescale report, the flight recorder and ``repro-obs top``).
@@ -116,11 +116,7 @@ def migration_barrier(executor: Any) -> Iterator[None]:
     ``split``, ``restore``) belongs inside this block — SL016 checks
     exactly that.
     """
-    executor._drain_outstanding()
-    if executor._recover_requested:
-        raise ExecutionError(
-            "cluster is recovering; rescale aborted before the barrier"
-        )
+    executor._quiesce("rescale aborted before the barrier")
     yield
 
 
@@ -178,44 +174,13 @@ def reshard_states(
     return out, strategies
 
 
-def _capture_all(executor: Any) -> dict[tuple[str, int], bytes | None]:
-    """Snapshot every shard on every worker (the checkpoint capture)."""
-    for worker_id in range(executor.n_workers):
-        executor._inboxes[worker_id].put(("snapshot", executor.epoch))
-    states: dict[tuple[str, int], bytes | None] = {}
-    for payload in executor._await_all("snapshot_ok").values():
-        states.update(payload)
-    return states
-
-
-def _stop_workers(executor: Any) -> None:
-    """Stop the old worker set cleanly and seal its telemetry streams.
-
-    :meth:`ClusterExecutor.close` minus the channel teardown: final
-    telemetry flushes are absorbed, then every incarnation is sealed so
-    the respawned set's fresh counters stack on the right base. A worker
-    that dies mid-stop is simply dropped — its state was captured at the
-    barrier, so nothing is lost.
-    """
-    executor._stop_workers()
-    executor._join_workers()
-    if executor._absorber is not None:
-        for worker_id in range(executor.n_workers):
-            executor._absorber.seal_worker(worker_id)
-
-
 def _rewire(
     executor: Any, new_workers: int, new_parallelism: dict[str, int]
 ) -> None:
-    """Re-plan, re-ring and respawn onto the new cluster shape.
-
-    Retained workers' shm rings are reset (any residue is dead epoch
-    traffic), retired workers' segments are destroyed *now* so
-    ``leaked_segments()`` stays clean, and grown workers get fresh rings
-    — which must exist before the forks, since children inherit the
-    mappings. The epoch bump fences any straggler traffic from the old
-    incarnation.
-    """
+    """Apply the new parallelism and credit window, then restart the
+    worker set on the new shape (:meth:`ClusterExecutor._reshape`). A
+    worker that dies while stopping loses nothing: its state was
+    captured at the barrier."""
     old_workers = executor.n_workers
     for name, parallelism in new_parallelism.items():
         executor.topology.components[name].parallelism = parallelism
@@ -227,29 +192,7 @@ def _rewire(
     executor.max_outstanding = max(
         1, round(executor.max_outstanding * new_workers / old_workers)
     )
-    for worker_id in range(min(old_workers, new_workers)):
-        executor._channels[worker_id].reset()
-    for worker_id in range(new_workers, old_workers):
-        executor._channels[worker_id].destroy()
-    del executor._channels[new_workers:]
-    for worker_id in range(old_workers, new_workers):
-        executor._channels.append(ShmChannel(worker_id, executor.ring_capacity))
-    for inbox in executor._inboxes:
-        inbox.cancel_join_thread()
-    executor._inboxes = []
-    executor._processes = []
-    executor._results = [executor._mp.Queue() for __ in range(new_workers)]
-    executor._results_rr = 0
-    executor.n_workers = new_workers
-    executor.plan = plan_topology(executor.topology, new_workers)
-    executor._comp_ids, executor._comp_names = columnar.component_table(
-        executor.plan.components
-    )
-    executor._buffers = [[] for __ in range(new_workers)]
-    executor.epoch += 1
-    executor._outstanding = 0
-    for worker_id in range(new_workers):
-        executor._spawn_worker(worker_id)
+    executor._reshape(new_workers)
 
 
 def _restore_all(
@@ -264,11 +207,7 @@ def _restore_all(
         per_worker[executor.plan.worker_of(name, task)][(name, task)] = payload
         if payload is not None:
             moved += len(payload)
-    for worker_id in range(executor.n_workers):
-        executor._inboxes[worker_id].put(
-            ("restore", executor.epoch, per_worker[worker_id])
-        )
-    executor._await_all("restore_ok")
+    executor._broadcast("restore", per_worker.__getitem__)
     return per_worker, moved
 
 
@@ -312,23 +251,20 @@ def perform_rescale(
         trigger=trigger,
         from_workers=executor.n_workers,
         to_workers=new_workers,
-        parallelism_before={
-            comp.name: comp.parallelism
-            for comp in executor.topology.components.values()
-            if comp.kind == "bolt"
-        },
+        parallelism_before=executor._parallelism(),
         in_flight_at_request=executor._outstanding,
     )
     started = time.perf_counter()
     with migration_barrier(executor):
         report.barrier_s = time.perf_counter() - started
         mark = time.perf_counter()
-        states = _capture_all(executor)
+        states: dict[tuple[str, int], bytes | None] = {}
+        for shards in executor._broadcast("snapshot").values():
+            states.update(shards)
         states, report.strategies = reshard_states(
             executor.topology, states, changed
         )
         report.capture_s = time.perf_counter() - mark
-        _stop_workers(executor)
         _rewire(executor, new_workers, changed)
         mark = time.perf_counter()
         per_worker, report.moved_state_bytes = _restore_all(executor, states)
@@ -338,19 +274,8 @@ def perform_rescale(
             # at the *current* offsets — the sources never rewind, so the
             # rescale replays nothing, and a later crash rolls back to
             # post-rescale state.
-            executor._checkpoint = {
-                "workers": per_worker,
-                "offsets": {
-                    name: [spout.offset for spout in partitions]
-                    for name, partitions in executor._spouts.items()
-                },
-            }
-            executor._pulls_since_checkpoint = 0
-    report.parallelism_after = {
-        comp.name: comp.parallelism
-        for comp in executor.topology.components.values()
-        if comp.kind == "bolt"
-    }
+            executor._keep_checkpoint(per_worker)
+    report.parallelism_after = executor._parallelism()
     report.epoch = executor.epoch
     report.total_s = time.perf_counter() - started
     executor.rescale_reports.append(report)

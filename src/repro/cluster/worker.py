@@ -268,9 +268,9 @@ class ClusterWorker:
     def maybe_flush_telemetry(self, force: bool = False) -> dict[str, Any] | None:
         """Interval-gated delta telemetry flush; None when it is not time.
 
-        This is the *only* sanctioned export path inside the worker loop
-        (streamlint SL014 enforces it): the gate makes telemetry cost
-        O(changed children / interval) instead of O(messages). Returns the
+        This is the worker loop's only export path: the gate makes
+        telemetry cost O(changed children / interval) instead of
+        O(messages), so call sites may tick it freely. Returns the
         flush payload — change-only metric records, drained spans, the
         per-component frontiers — or None when the interval has not
         elapsed, telemetry is disabled, or nothing changed. Flushes ship
@@ -365,8 +365,8 @@ def worker_main(
     comp_ids, comp_names = columnar.component_table(plan.components)
 
     def maybe_ship_telemetry(force: bool = False) -> None:
-        # The interval gate lives in maybe_flush_telemetry (SL014's
-        # sanctioned path); calling this every loop turn is free.
+        # The interval gate lives in maybe_flush_telemetry; calling this
+        # every loop turn is free.
         payload = worker.maybe_flush_telemetry(force=force)
         if payload is not None:
             results.put(("telemetry", worker_id, worker.epoch, payload))

@@ -32,19 +32,18 @@ attempt number.
 
 from __future__ import annotations
 
-import itertools
 import time
 from collections import deque
 
 from repro.common.exceptions import ExecutionError, ParameterError
 from repro.core import stateship
 from repro.obs.context import Observability
-from repro.obs.tracing import Span, event_span, lifecycle_span, next_span_id
-from repro.platform.ack import Acker
+from repro.obs.tracing import event_span
+from repro.platform.ack import RootLedger
 from repro.platform.faults import FaultInjector, NO_FAULTS
 from repro.platform.metrics import ExecutionMetrics
 from repro.platform.runner import TaskRunner
-from repro.platform.topology import Spout, Topology
+from repro.platform.topology import Topology
 from repro.platform.tuples import next_tuple_id
 
 _SEMANTICS = ("at_most_once", "at_least_once", "exactly_once")
@@ -100,9 +99,11 @@ class LocalExecutor:
     """Runs a :class:`~repro.platform.topology.Topology` to completion.
 
     Owns one :class:`~repro.platform.runner.TaskRunner` holding every
-    bolt task; what stays here is the owner's side: pulling spouts,
-    issuing roots, choosing which queue runs next (round-robin over the
-    non-empty ones), the acker, and the checkpoint/recover/crash policy.
+    bolt task and one :class:`~repro.platform.ack.RootLedger` (roots,
+    acks, replays, traced roots, source offsets); what stays here is
+    pulling spouts one record at a time, choosing which queue runs next
+    (round-robin over the non-empty ones) and the checkpoint/recover/crash
+    policy.
     """
 
     def __init__(
@@ -123,10 +124,10 @@ class LocalExecutor:
             raise ParameterError("max_queue must be positive")
         self.topology = topology
         self.semantics = semantics
+        self._reliable = semantics != "at_most_once"  # the acker is in use
         self.faults = faults or NO_FAULTS
         self.checkpoint_interval = checkpoint_interval
         self.max_queue = max_queue
-        self.max_replays_per_message = max_replays_per_message
         self.obs = obs
         self.metrics = ExecutionMetrics(
             registry=obs.registry if obs is not None else None
@@ -134,14 +135,16 @@ class LocalExecutor:
         # Tracing shortcuts: both None when observability is off.
         self._sampler = obs.sampler if obs is not None else None
         self._spans = obs.collector if obs is not None else None
-        self._trace_attempts: dict[int, int] = {}  # source key -> emission count
-        self._trace_roots: dict[int, Span] = {}  # root -> its spout_emit span
-
-        self._spouts: dict[str, Spout] = {
-            comp.name: comp.factory()
-            for comp in topology.components.values()
-            if comp.kind == "spout"
-        }
+        self._ledger = RootLedger(
+            {
+                comp.name: [comp.factory()]
+                for comp in topology.components.values()
+                if comp.kind == "spout"
+            },
+            self.metrics,
+            max_replays_per_message,
+            obs,
+        )
         self._queues: dict[tuple[str, int], deque] = {
             (comp.name, task): deque()
             for comp in topology.components.values()
@@ -160,13 +163,6 @@ class LocalExecutor:
             on_lost=self._abandon if semantics == "exactly_once" else _lost_in_transit,
             record_span=self._spans.record if self._spans is not None else None,
         )
-        self._acker = Acker() if semantics != "at_most_once" else None
-        # Roots are issued from a counter; each maps back to the spout and
-        # spout-local message id that ack/fail/replay caps are about.
-        self._root_counter = itertools.count(1)
-        self._root_sources: dict[int, tuple[str, int]] = {}
-        self._start_times: dict[int, float] = {}
-        self._replay_counts: dict[tuple[str, int], int] = {}
         self._checkpoint: dict | None = None
         self._source_pulls = 0
 
@@ -209,42 +205,22 @@ class LocalExecutor:
         # Only a non-empty queue can be full, and those are the ready ones.
         if any(len(q) >= self.max_queue for q in self._ready):
             return False
-        reliable = self._acker is not None
-        for index, (name, spout) in enumerate(self._spouts.items()):
+        ledger = self._ledger
+        reliable = self._reliable
+        for flat, (name, spout) in enumerate(ledger.partitions):
             payload = spout.next_tuple()
             if payload is None:
                 continue
             pulled = True
             self._source_pulls += 1
             self.metrics.components[f"spout:{name}"].emitted += 1
-            root = next(self._root_counter) if reliable else None
             local_msg = getattr(spout, "last_offset", self._source_pulls)
+            root = ledger.issue(flat, local_msg) if reliable else None
             trace = root_span = None
             if self._sampler is not None:
-                # Sampling is keyed on the source record, not the root, so
-                # a replay resumes the same trace with a bumped attempt.
-                key = local_msg * len(self._spouts) + index
-                trace_id = self._sampler.sample(key)
-                if trace_id is not None:
-                    attempt = self._trace_attempts.get(key, 0) + 1
-                    self._trace_attempts[key] = attempt
-                    root_span = Span(
-                        trace_id=trace_id,
-                        span_id=next_span_id(),
-                        parent_id=None,
-                        component=f"spout:{name}",
-                        kind="spout_emit",
-                        start=time.perf_counter(),
-                        attempt=attempt,
-                        msg_id=root,
-                    )
-                    trace = (trace_id, root_span.span_id, attempt)
-            if reliable:
-                self._root_sources[root] = (name, local_msg)
-                self._start_times[root] = time.perf_counter()
-                self._acker.register(root, 0)
+                root_span = ledger.trace(flat, local_msg, root)
                 if root_span is not None:
-                    self._trace_roots[root] = root_span
+                    trace = (root_span.trace_id, root_span.span_id, root_span.attempt)
             try:
                 fan_out, anchor = self._runner.route(name, payload, root, trace)
             except _RecoveryTriggered:
@@ -257,7 +233,7 @@ class LocalExecutor:
             if reliable:
                 # Registered with 0, then anchoring the copies: the value
                 # tracks exactly the set of live descendants.
-                self._acker.anchor(root, anchor)
+                ledger.acker.anchor(root, anchor)
             if root_span is not None:
                 root_span.fan_out = fan_out
             if (
@@ -289,59 +265,20 @@ class LocalExecutor:
             crashed = self._runner.process(entry)
         except _RecoveryTriggered:
             return True
-        if self._acker is not None:
+        if self._reliable:
             deltas = self._runner.deltas
-            for root, delta in deltas.items():
-                if self._acker.ack(root, delta):
-                    self._complete(root)
+            self._ledger.ack(deltas.items())
             deltas.clear()
         if crashed:
             self._crash()
         return True
 
-    def _complete(self, root: int) -> None:
-        self.metrics.components["spout:__all__"].acked += 1
-        started = self._start_times.pop(root, None)
-        if started is not None:
-            self.metrics.record_latency(time.perf_counter() - started)
-        self._trace_lifecycle(self._trace_roots.pop(root, None), "ack")
-        name, local_msg = self._root_sources.pop(root)
-        self._spouts[name].ack(local_msg)
-
     # -- failure handling ------------------------------------------------
-
-    def _trace_lifecycle(self, root_span: Span | None, kind: str) -> None:
-        """Record an ack/fail/replay span under a traced root's span."""
-        if root_span is not None:
-            self._spans.record(lifecycle_span(root_span, kind, time.perf_counter()))
 
     def _event(self, kind: str) -> None:
         """Record a trace-less lifecycle event (checkpoint/recovery/crash)."""
         if self._spans is not None:
             self._spans.record(event_span("executor", kind, time.perf_counter()))
-
-    def _fail_pending(self) -> None:
-        """Fail every incomplete tuple tree (idle-time timeout).
-
-        Replay caps are keyed by source record, not root: every replay
-        re-enters the spout and is issued a fresh root.
-        """
-        assert self._acker is not None
-        for root in list(self._acker._pending):
-            self._acker.fail(root)
-            self._start_times.pop(root, None)
-            self.metrics.components["spout:__all__"].failed += 1
-            root_span = self._trace_roots.pop(root, None)
-            self._trace_lifecycle(root_span, "fail")
-            source = self._root_sources.pop(root)
-            replays = self._replay_counts.get(source, 0)
-            if replays >= self.max_replays_per_message:
-                continue  # give up: poisoned/unlucky message
-            self._replay_counts[source] = replays + 1
-            self.metrics.replays += 1
-            self._trace_lifecycle(root_span, "replay")
-            name, local_msg = source
-            self._spouts[name].fail(local_msg)
 
     def _take_checkpoint(self) -> None:
         """Consistent snapshot: drain in-flight work, then capture every
@@ -349,7 +286,7 @@ class LocalExecutor:
         self._drain()
         self._checkpoint = {
             "bolts": self._runner.capture(),
-            "offsets": {name: spout.offset for name, spout in self._spouts.items()},
+            "offsets": self._ledger.offsets(),
         }
         self.metrics.checkpoints += 1
         self._event("checkpoint")
@@ -365,16 +302,11 @@ class LocalExecutor:
         self.metrics.recoveries += 1
         self._event("recovery")
         self._clear_in_flight()
-        self._acker = Acker()
-        self._root_sources.clear()
-        self._trace_roots.clear()
-        self._start_times.clear()
         states = self._checkpoint["bolts"] if self._checkpoint else {}
         for key, bolt in self._runner.bolts.items():
             payload = states.get(key)
             bolt.restore(None if payload is None else stateship.restore(payload)["state"])
-        for name, spout in self._spouts.items():
-            spout.rewind(self._checkpoint["offsets"][name] if self._checkpoint else 0)
+        self._ledger.rewind(self._checkpoint["offsets"] if self._checkpoint else None)
 
     def _crash(self) -> None:
         """Simulated worker crash."""
@@ -386,8 +318,7 @@ class LocalExecutor:
             # state is assumed externally durable (e.g. a store), as in
             # Storm without Trident.
             self._clear_in_flight()
-            if self._acker is not None:
-                self._fail_pending()
+            self._ledger.fail_pending()
 
     # -- main loop -----------------------------------------------------------
 
@@ -429,8 +360,8 @@ class LocalExecutor:
                 idle_rounds = 0
                 continue
             # Nothing to pull, nothing queued: settle reliability state.
-            if self._acker is not None and self._acker.n_pending:
-                self._fail_pending()
+            if self._ledger.acker.n_pending:
+                self._ledger.fail_pending()
                 idle_rounds += 1
                 if idle_rounds > 3:
                     return False

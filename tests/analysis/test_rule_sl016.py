@@ -133,6 +133,21 @@ class TestBarrierDiscipline:
         assert [f.rule_id for f in findings] == ["SL016"]
         assert ".merge()" in findings[0].message
 
+    def test_broadcast_restore_after_barrier_flagged(self, lint):
+        src = (
+            "from contextlib import contextmanager\n"
+            "@contextmanager\n"
+            "def migration_barrier(executor):\n"
+            "    yield\n"
+            "def rescale(executor, states):\n"
+            "    with migration_barrier(executor):\n"
+            "        executor._broadcast(\"snapshot\")\n"
+            "    executor._broadcast(\"restore\", states.__getitem__)\n"
+        )
+        findings = lint({"elastic/migrate.py": src}, select=SELECT)
+        assert [(f.rule_id, f.line) for f in findings] == [("SL016", 8)]
+        assert "'restore'" in findings[0].message
+
     def test_outside_elastic_package_out_of_scope(self, rule_ids):
         assert (
             rule_ids({"cluster/migrate.py": self.UNGUARDED}, select=SELECT)

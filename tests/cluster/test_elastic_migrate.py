@@ -157,6 +157,50 @@ class TestMidRunRescale:
             assert executor._checkpoint["offsets"] == offsets
         assert outcome["report"].to_workers == 2
 
+    def test_capture_and_rescale_from_two_threads(self, records, reference):
+        # One run serves both kinds of cross-thread request, each from its
+        # own thread, through its one request queue.
+        with ClusterExecutor(
+            build_spike_topology(records, amplify=AMPLIFY),
+            n_workers=1,
+            semantics="exactly_once",
+            checkpoint_interval=200,
+        ) as executor:
+            outcome = {}
+            finished = threading.Event()
+
+            def _request(key, call):
+                while not executor._pumping and not finished.is_set():
+                    time.sleep(0.001)
+                outcome[key] = call()
+
+            threads = [
+                threading.Thread(
+                    target=_request,
+                    args=("shards", lambda: executor.capture_shards("hot_keys")),
+                ),
+                threading.Thread(
+                    target=_request,
+                    args=(
+                        "report",
+                        lambda: executor.rescale(
+                            n_workers=2, parallelism={name: 2 for name in SYNOPSES}
+                        ),
+                    ),
+                ),
+            ]
+            for thread in threads:
+                thread.start()
+            executor.run()
+            finished.set()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+            assert _merged_fingerprints(executor) == reference
+        assert outcome["report"].to_workers == 2
+        partials = [stateship.restore(p)["state"] for p in outcome["shards"]]
+        assert partials and all(p is not None for p in partials)
+
     def test_shm_rescale_leaks_nothing(self, records, reference):
         with ClusterExecutor(
             build_spike_topology(records, amplify=AMPLIFY),

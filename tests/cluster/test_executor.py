@@ -7,6 +7,7 @@ shard partials, produces state **bit-identical** to the single-process
 approximations.
 """
 
+import threading
 import time
 
 import pytest
@@ -184,27 +185,84 @@ class _Poison(Bolt):
             raise ValueError("boom")
 
 
+class _PoisonFlush(Bolt):
+    def process(self, values, emit):
+        pass
+
+    def flush(self, emit):
+        raise ValueError("boom")
+
+
 class TestOperatorErrors:
     """A bolt that raises is a deterministic failure, not a crash: it
     surfaces as ExecutionError — no respawn, no replay storm, no hang."""
 
-    @pytest.mark.parametrize("semantics", SEMANTICS)
-    def test_poison_bolt_raises_promptly(self, semantics):
+    @staticmethod
+    def _assert_fails_promptly(bolt, semantics, match):
         builder = TopologyBuilder()
         builder.set_spout("src", lambda: ListSpout(list(range(40))))
-        builder.set_bolt("bad", _Poison, parallelism=2).shuffle("src")
+        builder.set_bolt("bad", bolt, parallelism=2).shuffle("src")
         executor = ClusterExecutor(
             builder.build(), n_workers=2, semantics=semantics, reply_timeout=10.0
         )
         started = time.perf_counter()
         with executor:
-            with pytest.raises(ExecutionError, match=r"bolt 'bad' failed on \(13,\)"):
+            with pytest.raises(ExecutionError, match=match):
                 executor.run()
         assert time.perf_counter() - started < 10.0
         summary = executor.metrics.summary()
         assert summary["replays"] == 0 and summary["recoveries"] == 0
         assert not any(process.is_alive() for process in executor._processes)
         assert leaked_segments() == []
+
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    def test_poison_bolt_raises_promptly(self, semantics):
+        self._assert_fails_promptly(
+            _Poison, semantics, r"bolt 'bad' failed on \(13,\)"
+        )
+
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    def test_poison_flush_raises_promptly(self, semantics):
+        # The end-of-stream flush waits on its own replies: an error there
+        # must end the run as promptly as one in process().
+        self._assert_fails_promptly(
+            _PoisonFlush, semantics, r"bolt 'bad' failed in flush"
+        )
+
+
+class TestCrossThreadRequests:
+    def test_waiting_requester_does_not_spin(self, records):
+        # With no pump running, the first requester serves the queue
+        # inline under the control lock; the second must wait for it
+        # without burning a core.
+        with ClusterExecutor(build_demo_topology(records), n_workers=2) as executor:
+            executor.run()
+            query_shards = executor._query_shards
+
+            def slow_query(name):
+                time.sleep(0.4)  # a large capture
+                return query_shards(name)
+
+            executor._query_shards = slow_query
+            used = {}
+
+            def capture(key):
+                cpu, wall = time.thread_time(), time.perf_counter()
+                executor.capture_shards("count")
+                used[key] = (time.thread_time() - cpu, time.perf_counter() - wall)
+
+            threads = [threading.Thread(target=capture, args=(k,)) for k in "ab"]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        # Each waited for both captures (~0.8 s); neither spent half of it
+        # on the CPU.
+        assert sorted(used) == ["a", "b"]
+        for cpu, wall in used.values():
+            assert wall >= 0.4
+            assert cpu < 0.5 * wall
 
 
 class TestCli:

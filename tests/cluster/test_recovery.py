@@ -15,6 +15,7 @@ import pytest
 
 from repro.bench.fingerprint import state_fingerprint
 from repro.cluster.coordinator import ClusterExecutor
+from repro.obs.context import Observability
 from repro.obs.demo import build_demo_topology, demo_records
 from repro.platform.executor import LocalExecutor
 from repro.platform.faults import FaultInjector
@@ -83,6 +84,38 @@ class TestExactlyOnceCrash:
             counts = _merged_counts(executor)
         assert metrics.summary()["recoveries"] >= 1  # at least one loss fired
         assert counts == ref_counts
+
+
+def _traced_crash_run(records, semantics):
+    obs = Observability.create(sample_rate=1.0, seed=7)
+    with ClusterExecutor(
+        build_demo_topology(records),
+        n_workers=2,
+        semantics=semantics,
+        checkpoint_interval=100,
+        worker_faults={1: FaultInjector(crash_after=250, seed=3)},
+        obs=obs,
+    ) as executor:
+        metrics = executor.run()
+    assert metrics.summary()["recoveries"] >= 1
+    return executor, obs.collector
+
+
+class TestTracesAcrossRecovery:
+    """Sampling is keyed by source record, not root: a record replayed
+    after a crash resumes its own trace with the next attempt number."""
+
+    @pytest.mark.parametrize("semantics", ["at_least_once", "exactly_once"])
+    def test_replays_resume_their_trace(self, records, semantics):
+        __, collector = _traced_crash_run(records, semantics)
+        trace_ids = collector.trace_ids()
+        assert len(trace_ids) == len(records)  # one trace per source record
+        assert max(collector.attempts(t) for t in trace_ids) > 1
+
+    def test_rollback_strands_no_trace_root(self, records):
+        executor, __ = _traced_crash_run(records, "exactly_once")
+        # Every traced root was acked or dropped by the rollback's rewind.
+        assert executor._ledger._trace_roots == {}
 
 
 class TestAtLeastOnceLoss:

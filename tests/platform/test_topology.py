@@ -101,7 +101,8 @@ class TestAcker:
         assert not acker.ack(1, 999)  # unrelated id, no-op tree change
         acker.anchor(1, 999)  # cancel it back
         assert acker.ack(1, 100)
-        assert acker.completed == [1]
+        assert acker.n_pending == 0
+        assert not acker.ack(1, 100)  # a completed root is gone
 
     def test_multi_level_tree(self):
         acker = Acker()
@@ -112,6 +113,7 @@ class TestAcker:
         assert not acker.ack(7, 10)
         assert not acker.ack(7, 20)
         assert acker.ack(7, 21)
+        assert acker.n_pending == 0
 
     def test_duplicate_register_rejected(self):
         acker = Acker()
@@ -121,18 +123,16 @@ class TestAcker:
 
     def test_fail_removes(self):
         acker = Acker()
-        acker.register(5, 0)
-        acker.anchor(5, 50)
-        acker.fail(5)
-        assert acker.n_pending == 0
-        assert acker.failed == [5]
-
-    def test_timeout_detection(self):
-        acker = Acker()
-        for i in range(10):
-            acker.register(i, 0)
-            acker.anchor(i, 100 + i)
-        assert set(acker.timed_out(max_age=5)) == set(range(5))
+        for root in (5, 6, 7):
+            acker.register(root, 0)
+            acker.anchor(root, 50 + root)
+        assert acker.pending() == [5, 6, 7]
+        acker.fail(6)
+        assert acker.n_pending == 2
+        assert acker.pending() == [5, 7]
+        assert not acker.ack(6, 56)  # a failed root never completes
+        assert acker.ack(5, 55)
+        assert acker.pending() == [7]
 
 
 class TestListSpout:
