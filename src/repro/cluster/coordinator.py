@@ -64,6 +64,7 @@ from repro.obs.context import Observability
 from repro.obs.flight import FlightRecorder
 from repro.obs.health import HealthMonitor, HealthSnapshot
 from repro.obs.live import DEFAULT_FLUSH_INTERVAL, TelemetryAbsorber
+from repro.obs.metrics import RegistryRow
 from repro.obs.tracing import event_span
 from repro.platform.ack import RootLedger
 from repro.platform.executor import _SEMANTICS, topological_bolt_order
@@ -147,43 +148,28 @@ class ClusterExecutor:
         self.max_frame = max_frame
         self.plan: ShardPlan = plan_topology(topology, n_workers)
         self._channels: list[ShmChannel] = []
-        #: Data-plane accounting, keyed for the bench's byte columns:
-        #: bytes moved over shm rings, frame count, bytes that fell back
-        #: to pickle inside columnar frames, and how often a full ring
-        #: forced the coordinator to wait.
-        self.transport_stats: dict[str, Any] = {
-            "transport": "shm",
-            "data_bytes_shm": 0,
-            "data_frames": 0,
-            "codec_pickled_bytes": 0,
-            "backpressure_waits": 0,
-        }
+        # Data-plane tallies (ring-full waits count in the metrics).
+        self._data_bytes = self._data_frames = self._pickled_bytes = 0
         self.metrics = ExecutionMetrics(
             registry=obs.registry if obs is not None else None
         )
         self._sampler = obs.sampler if obs is not None else None
         self._spans = obs.collector if obs is not None else None
         if obs is not None:
-            self._m_bytes = obs.registry.counter(
+            bytes_total = obs.registry.counter(
                 "repro_cluster_transport_bytes_total",
                 "Data-plane bytes moved over the shm rings",
             )
-            self._m_frames = obs.registry.counter(
+            frames_total = obs.registry.counter(
                 "repro_cluster_transport_frames_total",
                 "Data-plane frames/envelopes sent",
             )
-            self._m_backpressure = obs.registry.counter(
-                "repro_cluster_transport_backpressure_waits_total",
-                "Times a full ring made the coordinator wait",
-            )
+            self._m_transport = RegistryRow((bytes_total, frames_total))
             self._m_ring_used = obs.registry.gauge(
                 "repro_cluster_ring_used_bytes",
                 "Bytes enqueued in a worker's shm ring",
                 labelnames=("worker", "direction"),
             )
-        else:
-            self._m_bytes = self._m_frames = None
-            self._m_backpressure = self._m_ring_used = None
 
         # Live telemetry (tentpole of the obs plane): interval defaults on
         # whenever the run is observed, 0/None-without-obs disables it.
@@ -229,7 +215,7 @@ class ClusterExecutor:
             else:
                 self._spouts[comp.name] = [spout]
         self._ledger = RootLedger(
-            self._spouts, self.metrics, max_replays_per_message, obs
+            self._spouts, semantics, self.metrics, max_replays_per_message, obs
         )
 
         try:
@@ -276,6 +262,20 @@ class ClusterExecutor:
         self.rescale_reports: list[Any] = []
         self._spout_throttled = 0
         self._pump_iterations = 0
+
+    @property
+    def transport_stats(self) -> dict[str, Any]:
+        """Data-plane accounting, keyed for the bench's byte columns:
+        bytes moved over shm rings, frame count, bytes that fell back to
+        pickle inside columnar frames, and how often a full ring forced
+        the coordinator to wait (a fresh read-only copy)."""
+        return {
+            "transport": "shm",
+            "data_bytes_shm": self._data_bytes,
+            "data_frames": self._data_frames,
+            "codec_pickled_bytes": self._pickled_bytes,
+            "backpressure_waits": self.metrics.backpressure_waits,
+        }
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -339,7 +339,7 @@ class ClusterExecutor:
             self._closed = True
             started = bool(self._processes)
             self._reshape(0)
-            if started and self._health is not None:
+            if started:
                 self._publish_health(reason="final")
         if self._health_log is not None:
             self._health_log.close()
@@ -475,17 +475,13 @@ class ClusterExecutor:
             pushed += 1
             self._outstanding += 1
             self._account_data(len(frame))
-            self.transport_stats["codec_pickled_bytes"] += stats.pickled_bytes
+            self._pickled_bytes += stats.pickled_bytes
         if pushed:
             # One doorbell covers the whole send: the worker drains its
             # ring to empty per wake-up, so later doorbells for frames it
             # already popped just fall through. Data rides the ring; the
             # control queue carries 2 small ints.
             self._inboxes[worker_id].put(("frames", epoch))
-        if self._m_ring_used is not None:
-            self._m_ring_used.labels(worker=str(worker_id), direction="in").set(
-                ring.used_bytes()
-            )
 
     def _push_frame(self, worker_id: int, ring, frame: bytes) -> None:
         """Push with blocking-with-deadline fallback on ring-full.
@@ -499,9 +495,7 @@ class ClusterExecutor:
         """
         if ring.try_push(frame):
             return
-        self.transport_stats["backpressure_waits"] += 1
-        if self._m_backpressure is not None:
-            self._m_backpressure.inc()
+        self.metrics.backpressure_waits += 1
         # Ring the doorbell for the frames already pushed this send: the
         # worker only drains on a doorbell, so without this a ring that
         # fills mid-send would sit full until the worker's 1s control
@@ -522,11 +516,8 @@ class ClusterExecutor:
             time.sleep(0.0005)  # streamlint: disable=SL010 - bounded backpressure wait
 
     def _account_data(self, nbytes: int, frames: int = 1) -> None:
-        self.transport_stats["data_bytes_shm"] += nbytes
-        self.transport_stats["data_frames"] += frames
-        if self._m_bytes is not None:
-            self._m_bytes.inc(nbytes)
-            self._m_frames.inc(frames)
+        self._data_bytes += nbytes
+        self._data_frames += frames
 
     # -- live telemetry ----------------------------------------------------
 
@@ -600,8 +591,10 @@ class ClusterExecutor:
         return counts
 
     def _publish_health(self, reason: str = "interval") -> HealthSnapshot | None:
-        """Build a health snapshot now: sample rings, snapshot, record."""
+        """Publish the run's counters into the registry and, when the run
+        is observed, a health snapshot: sample rings, snapshot, record."""
         if self._health is None:
+            self.metrics.publish()
             return None
         for worker_id in range(self.n_workers):
             alive = bool(
@@ -612,21 +605,14 @@ class ClusterExecutor:
             if self._channels:
                 in_used = self._channels[worker_id].inbox.used_bytes()
                 out_used = self._channels[worker_id].outbox.used_bytes()
-                if self._m_ring_used is not None:
-                    self._m_ring_used.labels(
-                        worker=str(worker_id), direction="in"
-                    ).set(in_used)
-                    self._m_ring_used.labels(
-                        worker=str(worker_id), direction="out"
-                    ).set(out_used)
+                ring_used = self._m_ring_used.labels
+                ring_used(worker=str(worker_id), direction="in").set(in_used)
+                ring_used(worker=str(worker_id), direction="out").set(out_used)
             self._health.set_worker_io(worker_id, alive, in_used, out_used)
-        self.metrics.backpressure_waits = self.transport_stats[
-            "backpressure_waits"
-        ]
         snapshot = self._health.snapshot(
             reason=reason,
             counts=self._component_counts(),
-            backpressure_waits=self.transport_stats["backpressure_waits"],
+            backpressure_waits=self.metrics.backpressure_waits,
             latency_p50_s=self.metrics.latency_quantile(0.5),
             latency_p99_s=self.metrics.latency_quantile(0.99),
             in_flight=self._outstanding,
@@ -634,6 +620,8 @@ class ClusterExecutor:
             elastic=self._elastic_state(),
         )
         self.metrics.ring_occupancy = snapshot.max_ring_occupancy()
+        self.metrics.publish()
+        self._m_transport.advance((self._data_bytes, self._data_frames))
         if self.flight is not None:
             self.flight.record_snapshot(snapshot)
         if self._health_log_path is not None:
@@ -894,7 +882,7 @@ class ClusterExecutor:
         # _drain_outbox_rings already; the reply only accounts for them.
         if payload["out_bytes"]:
             self._account_data(payload["out_bytes"], frames=payload["remote_frames"])
-            self.transport_stats["codec_pickled_bytes"] += payload["out_pickled"]
+            self._pickled_bytes += payload["out_pickled"]
         self._ledger.ack(payload["deltas"])
         if payload["lost"] and self.semantics == "exactly_once":
             # A lost delivery is unrecoverable forward progress loss under
@@ -1072,7 +1060,7 @@ class ClusterExecutor:
         a rollback returns to."""
         self._checkpoint = {
             "workers": worker_states,
-            "offsets": self._ledger.offsets(),
+            "offsets": self._ledger.checkpoint(),
         }
         self._pulls_since_checkpoint = 0
 
@@ -1113,11 +1101,7 @@ class ClusterExecutor:
                 # inline, so this drain closes the window.
                 self._serve_requests()
         self.metrics.wall_seconds = time.perf_counter() - started
-        self.metrics.backpressure_waits = self.transport_stats[
-            "backpressure_waits"
-        ]
-        if self._health is not None:
-            self._publish_health(reason="final")
+        self._publish_health(reason="final")
         return self.metrics
 
     def _pump(self) -> None:

@@ -329,8 +329,8 @@ class HealthMonitor:
         """Build (and remember) the next snapshot.
 
         *counts* maps operator name to cluster-wide ``(processed,
-        emitted)`` totals — the coordinator supplies them from its metric
-        façade so the monitor needs no registry access.
+        emitted)`` totals — the coordinator supplies them from its run
+        counters so the monitor needs no registry access.
         """
         self._seq += 1
         now = self._clock()

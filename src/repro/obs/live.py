@@ -136,8 +136,11 @@ class TelemetryAbsorber:
                 family = self.registry.counter(
                     record["name"], record["help"], labelnames
                 )
+                # Replace semantics on a monotonic total: one incarnation's
+                # flushes only grow, and a sealed base covers the last one.
+                child = family.labels(**labels)
                 base = self._counter_bases.get(key, 0.0)
-                family.labels(**labels)._set(base + record["value"])
+                child.inc(base + record["value"] - child.value)
                 live[key] = (Counter.kind, record["value"])
             elif record["kind"] == Gauge.kind:
                 family = self.registry.gauge(

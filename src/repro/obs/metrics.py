@@ -130,11 +130,6 @@ class _CounterChild:
             raise ParameterError("counters only go up; inc amount must be >= 0")
         self._value += amount
 
-    def _set(self, value: float) -> None:
-        # Internal escape hatch for facades that expose attribute
-        # assignment (ExecutionMetrics); the public API stays monotonic.
-        self._value = float(value)
-
     @property
     def value(self) -> float:
         return self._value
@@ -152,9 +147,6 @@ class Counter(_Instrument):
         """Increase the (unlabeled) counter by *amount* (must be >= 0)."""
         self._default_child().inc(amount)
 
-    def _set(self, value: float) -> None:
-        self._default_child()._set(value)
-
     @property
     def value(self) -> float:
         return self._default_child().value
@@ -164,6 +156,32 @@ class Counter(_Instrument):
             Sample(self.name, labels, child.value)
             for labels, child in self._label_tuples()
         ]
+
+
+class RegistryRow:
+    """Registry children fed from plain values in one call: *counters*
+    advance by what changed since the last call (so owners sharing a
+    registry add up there as Prometheus totals do), *gauges* take the
+    value. An unchanged row costs one tuple comparison."""
+
+    __slots__ = ("_writers", "_last")
+
+    def __init__(self, counters: Iterable[Any], gauges: Iterable[Any] = ()):
+        self._writers = (
+            *((counter.inc, True) for counter in counters),
+            *((gauge.set, False) for gauge in gauges),
+        )
+        self._last = (0,) * len(self._writers)
+
+    def advance(self, values: tuple) -> None:
+        """Bring the row to *values*: the counters' totals, then the gauges'."""
+        last = self._last
+        if values == last:
+            return
+        self._last = values
+        for (write, by_delta), value, old in zip(self._writers, values, last):
+            if value != old:
+                write(value - old if by_delta else value)
 
 
 class _GaugeChild:
@@ -376,9 +394,6 @@ class _NullChild:
         pass
 
     def set(self, value: float) -> None:
-        pass
-
-    def _set(self, value: float) -> None:
         pass
 
     def set_function(self, fn: Callable[[], float]) -> None:

@@ -71,14 +71,19 @@ class RootLedger:
     Replay caps, trace sampling and attempt counts are keyed by *source
     record* (``local_msg * n_partitions + flat_index``), not by root: a
     replay gets a fresh root, so a root key would neither bound a poisoned
-    message nor let a replay resume its trace. *spouts* maps each spout
-    name to its partitions; a partition's flat index is its position in
-    :attr:`partitions`. The pull loops stay with the executors.
+    message nor let a replay resume its trace. A record's counts live
+    while it can still be emitted again: under at-least-once until it is
+    acked or given up, under exactly-once until a kept checkpoint passes
+    it (a rewind re-reads what lies after the checkpoint); at-most-once
+    keeps none. *spouts* maps each spout name to its partitions; a
+    partition's flat index is its position in :attr:`partitions`. The
+    pull loops stay with the executors.
     """
 
     def __init__(
         self,
         spouts: dict[str, list[Spout]],
+        semantics: str,
         metrics: ExecutionMetrics,
         max_replays: int,
         obs: Observability | None = None,
@@ -89,6 +94,7 @@ class RootLedger:
             (name, spout) for name, parts in spouts.items() for spout in parts
         ]
         self._metrics = metrics
+        self._forget_on_ack = semantics == "at_least_once"
         self._max_replays = max_replays
         self._sampler = obs.sampler if obs is not None else None
         self._spans = obs.collector if obs is not None else None
@@ -130,7 +136,8 @@ class RootLedger:
         if trace_id is None:
             return None
         attempt = self._attempts.get(key, 0) + 1
-        self._attempts[key] = attempt
+        if root is not None:  # at-most-once issues no roots, replays nothing
+            self._attempts[key] = attempt
         span = Span(
             trace_id=trace_id,
             span_id=next_span_id(),
@@ -159,6 +166,13 @@ class RootLedger:
             self._lifecycle(self._trace_roots.pop(root, None), "ack")
             flat, local_msg = self._sources.pop(root)
             self.partitions[flat][1].ack(local_msg)
+            if self._forget_on_ack:
+                self._forget(self._key(flat, local_msg))
+
+    def _forget(self, key: int) -> None:
+        """Drop the counts of a record that is never emitted again."""
+        self._attempts.pop(key, None)
+        self._replays.pop(key, None)
 
     # -- failure and recovery ------------------------------------------------
 
@@ -178,8 +192,10 @@ class RootLedger:
             flat, local_msg = self._sources.pop(root)
             key = self._key(flat, local_msg)
             replays = self._replays.get(key, 0)
-            if replays >= self._max_replays:
-                continue  # give up: poisoned/unlucky message
+            if replays >= self._max_replays:  # give up: poisoned/unlucky message
+                if self._forget_on_ack:
+                    self._forget(key)
+                continue
             self._replays[key] = replays + 1
             self._metrics.replays += 1
             self._lifecycle(root_span, "replay")
@@ -192,12 +208,19 @@ class RootLedger:
             for __, spout in self.partitions
         )
 
-    def offsets(self) -> dict[str, list[int]]:
-        """Every partition's read position, for a checkpoint."""
-        return {
+    def checkpoint(self) -> dict[str, list[int]]:
+        """Every partition's read position, for a checkpoint being kept.
+        No rewind goes behind it, so the counts of the records there go."""
+        offsets = {
             name: [spout.offset for spout in parts]
             for name, parts in self._spouts.items()
         }
+        cut = [offset for parts in offsets.values() for offset in parts]
+        n = len(cut)
+        for counts in (self._attempts, self._replays):
+            for key in [key for key in counts if key // n < cut[key % n]]:
+                del counts[key]
+        return offsets
 
     def rewind(self, offsets: dict[str, list[int]] | None) -> None:
         """Rollback: forget every in-flight root and rewind each partition

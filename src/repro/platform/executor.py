@@ -17,8 +17,9 @@ makes delivery-semantics experiments reproducible — the property the
 bench suite depends on.
 
 Observability (``repro.obs``) threads through as a single optional
-``obs=`` bundle: metrics publish into its registry (via the
-:class:`~repro.platform.metrics.ExecutionMetrics` façade) and — when a
+``obs=`` bundle: the run's plain counters
+(:class:`~repro.platform.metrics.ExecutionMetrics`) publish into its
+registry at each ``run_some``/``finish``/``run`` and — when a
 :class:`~repro.obs.tracing.TraceSampler` is configured — a deterministic
 sample of spout messages is traced end-to-end. Each hop of a traced
 tuple records a span (component, queue wait, process time, emit fan-out)
@@ -141,6 +142,7 @@ class LocalExecutor:
                 for comp in topology.components.values()
                 if comp.kind == "spout"
             },
+            semantics,
             self.metrics,
             max_replays_per_message,
             obs,
@@ -185,17 +187,18 @@ class LocalExecutor:
         raise _RecoveryTriggered
 
     def _fold_counts(self) -> None:
-        """Publish the runner's plain-int counts through the façade."""
-        runner = self._runner
+        """Fold the runner's counts into the metrics and publish them."""
+        runner, components = self._runner, self.metrics.components
         for name, count in runner.processed.items():
-            self.metrics.components[f"bolt:{name}"].processed += count
+            components[f"bolt:{name}"].processed += count
         for name, count in runner.emitted.items():
-            self.metrics.components[f"bolt:{name}"].emitted += count
+            components[f"bolt:{name}"].emitted += count
         runner.processed.clear()
         runner.emitted.clear()
         for name, depth in self._high_water.items():
             if depth:
-                self.metrics.components[f"bolt:{name}"].queue_high_water = depth
+                components[f"bolt:{name}"].queue_high_water = depth
+        self.metrics.publish()
 
     # -- spout side ----------------------------------------------------------
 
@@ -286,7 +289,7 @@ class LocalExecutor:
         self._drain()
         self._checkpoint = {
             "bolts": self._runner.capture(),
-            "offsets": self._ledger.offsets(),
+            "offsets": self._ledger.checkpoint(),
         }
         self.metrics.checkpoints += 1
         self._event("checkpoint")
@@ -338,14 +341,16 @@ class LocalExecutor:
         """
         if budget <= 0:
             raise ParameterError("budget must be positive")
-        more = self._settle(budget, budget)
-        self._fold_counts()
-        return more
+        pending = self._ledger.acker.n_pending
+        work = self._settle(budget, budget)
+        if work or pending:  # idle: nothing pulled, processed or failed
+            self._fold_counts()
+        return work >= budget
 
-    def _settle(self, budget: float, burst: float) -> bool:
-        """Pull and process until *budget* units of work are done (True)
-        or nothing is left to pull, process or replay (False); each pull
-        is followed by at most *burst* processed entries."""
+    def _settle(self, budget: float, burst: float) -> int:
+        """Pull and process until *budget* units of work are done or
+        nothing is left to pull, process or replay; each pull is followed
+        by at most *burst* processed entries. Returns the work done."""
         work = 0
         idle_rounds = 0
         while work < budget:
@@ -364,10 +369,10 @@ class LocalExecutor:
                 self._ledger.fail_pending()
                 idle_rounds += 1
                 if idle_rounds > 3:
-                    return False
+                    return work
                 continue
-            return False
-        return True
+            return work
+        return work
 
     def finish(self) -> ExecutionMetrics:
         """End-of-stream flush for a stepped (:meth:`run_some`) run."""
@@ -388,6 +393,7 @@ class LocalExecutor:
         self._settle(float("inf"), 8)
         self.finish()
         self.metrics.wall_seconds = time.perf_counter() - started
+        self.metrics.publish()
         return self.metrics
 
     # -- inspection ------------------------------------------------------

@@ -1,207 +1,100 @@
-"""Execution metrics: a thin façade over the ``repro.obs`` metric registry.
+"""Execution metrics: plain run counters, published to a registry on fold.
 
-The executor's counters (emitted/processed/acked/failed per component),
-end-to-end latency t-digest, queue-depth high-water marks and reliability
-counters all live in a :class:`~repro.obs.metrics.MetricRegistry` as
-labeled instruments — so one topology run's metrics can be exported as
-Prometheus text or JSON lines, shared with synopsis instrumentation, and
-scraped mid-run. This module keeps the ergonomic attribute API the
-executor and tests always used (``metrics.components["bolt:x"].processed
-+= 1``) while writing through to the registry underneath.
+Counting is a plain int increment (``metrics.components["bolt:x"].processed
++= 1``); :meth:`ExecutionMetrics.publish` writes the counters into a
+:class:`~repro.obs.metrics.MetricRegistry` where the owner already folds
+(``LocalExecutor.run_some``/``finish``/``run``; the coordinator's health
+publish, end of ``run()`` and ``close()``). The registry is current as of
+the owner's last fold; :meth:`ExecutionMetrics.summary` always is.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections import defaultdict
+from operator import attrgetter
+from repro.obs.metrics import MetricRegistry, RegistryRow
 
-from repro.obs.metrics import MetricRegistry
-
-_COMPONENT_COUNTERS = ("emitted", "processed", "acked", "failed")
+_COUNTERS = ("emitted", "processed", "acked", "failed")
+_TOTALS = (  # ExecutionMetrics attribute, registry counter, its help
+    ("replays", "repro_replays_total", "Spout messages replayed after failure."),
+    ("checkpoints", "repro_checkpoints_total", "Consistent checkpoints taken."),
+    ("recoveries", "repro_recoveries_total", "Checkpoint recoveries performed."),
+    ("backpressure_waits", "repro_transport_backpressure_waits_total",
+     "Times a full transport buffer made the sender wait."),
+)
+_GAUGES = (
+    ("wall_seconds", "repro_wall_seconds", "Wall-clock duration of the run (seconds)."),
+    ("ring_occupancy", "repro_transport_ring_occupancy",
+     "Fullest shm ring fraction observed at last sample (0..1)."),
+)
+_component_row = attrgetter(*_COUNTERS, "queue_high_water")
+_run_row = attrgetter(*(attr for attr, *__ in _TOTALS + _GAUGES))
 
 
 class ComponentMetrics:
-    """Counters for one component — attribute reads/writes hit the registry."""
+    """Counters for one component."""
 
-    __slots__ = ("_counters", "_queue_hw")
+    __slots__ = (*_COUNTERS, "queue_high_water")
 
-    def __init__(self, registry: MetricRegistry, component: str):
-        self._counters = {
-            field: registry.counter(
-                f"repro_component_{field}_total",
-                f"Tuples {field} per component.",
-                labelnames=("component",),
-            ).labels(component=component)
-            for field in _COMPONENT_COUNTERS
-        }
-        self._queue_hw = registry.gauge(
-            "repro_component_queue_high_water",
-            "Deepest input queue observed per component (backpressure).",
-            labelnames=("component",),
-        ).labels(component=component)
-
-    def _get(self, field: str) -> int:
-        return int(self._counters[field].value)
-
-    def _set(self, field: str, value: int) -> None:
-        # ``metrics.x += 1`` reads then assigns; write-through keeps the
-        # registry authoritative while preserving the attribute API.
-        self._counters[field]._set(value)
-
-    @property
-    def emitted(self) -> int:
-        return self._get("emitted")
-
-    @emitted.setter
-    def emitted(self, value: int) -> None:
-        self._set("emitted", value)
-
-    @property
-    def processed(self) -> int:
-        return self._get("processed")
-
-    @processed.setter
-    def processed(self, value: int) -> None:
-        self._set("processed", value)
-
-    @property
-    def acked(self) -> int:
-        return self._get("acked")
-
-    @acked.setter
-    def acked(self, value: int) -> None:
-        self._set("acked", value)
-
-    @property
-    def failed(self) -> int:
-        return self._get("failed")
-
-    @failed.setter
-    def failed(self, value: int) -> None:
-        self._set("failed", value)
-
-    @property
-    def queue_high_water(self) -> int:
-        return int(self._queue_hw.value)
-
-    @queue_high_water.setter
-    def queue_high_water(self, value: int) -> None:
-        self._queue_hw.set(value)
+    def __init__(self) -> None:
+        self.emitted = self.processed = self.acked = self.failed = 0
+        self.queue_high_water = 0
 
     def as_dict(self) -> dict[str, int]:
         """Flat counter snapshot (reports)."""
-        out = {field: self._get(field) for field in _COMPONENT_COUNTERS}
-        out["queue_high_water"] = self.queue_high_water
-        return out
+        return {field: getattr(self, field) for field in self.__slots__}
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
         return f"ComponentMetrics({inner})"
 
 
-class _ComponentMap(dict):
-    """``defaultdict``-style map creating registry-backed entries on demand."""
-
-    def __init__(self, registry: MetricRegistry):
-        super().__init__()
-        self._registry = registry
-
-    def __missing__(self, component: str) -> ComponentMetrics:
-        entry = ComponentMetrics(self._registry, component)
-        self[component] = entry
-        return entry
-
-
 class ExecutionMetrics:
-    """Aggregated metrics for one topology run (registry-backed).
-
-    Constructed with no arguments the metrics own a private registry (runs
-    stay isolated, as before); pass a shared registry — e.g.
-    :func:`repro.obs.metrics.get_default_registry` or the one inside an
-    :class:`~repro.obs.context.Observability` — to co-publish with the
-    rest of the process.
-    """
+    """Aggregated metrics for one topology run, published into *registry*
+    (a private one unless given, e.g. an ``Observability``'s)."""
 
     def __init__(self, registry: MetricRegistry | None = None):
-        self.registry = registry if registry is not None else MetricRegistry()
-        self.components: dict[str, ComponentMetrics] = _ComponentMap(self.registry)
-        self.latency = self.registry.histogram(
+        self.registry = reg = registry if registry is not None else MetricRegistry()
+        self.components: dict[str, ComponentMetrics] = defaultdict(ComponentMetrics)
+        # backpressure_waits and ring_occupancy (the cluster transport's)
+        # stay 0 under LocalExecutor.
+        self.replays = self.checkpoints = self.recoveries = self.backpressure_waits = 0
+        self.ring_occupancy = self.wall_seconds = 0.0
+        self.latency = reg.histogram(
             "repro_latency_seconds",
             "End-to-end tuple-tree completion latency (seconds).",
         )
-        self._replays = self.registry.counter(
-            "repro_replays_total", "Spout messages replayed after failure."
+        self._families = [
+            reg.counter(
+                f"repro_component_{field}_total",
+                f"Tuples {field} per component.",
+                labelnames=("component",),
+            )
+            for field in _COUNTERS
+        ]
+        self._high_water = reg.gauge(
+            "repro_component_queue_high_water",
+            "Deepest input queue observed per component (backpressure).",
+            labelnames=("component",),
         )
-        self._checkpoints = self.registry.counter(
-            "repro_checkpoints_total", "Consistent checkpoints taken."
+        # Every unlabeled child exists from the start: the families export 0.
+        self._run = RegistryRow(
+            [reg.counter(name, help).labels() for __, name, help in _TOTALS],
+            [reg.gauge(name, help).labels() for __, name, help in _GAUGES],
         )
-        self._recoveries = self.registry.counter(
-            "repro_recoveries_total", "Checkpoint recoveries performed."
-        )
-        self._wall = self.registry.gauge(
-            "repro_wall_seconds", "Wall-clock duration of the run (seconds)."
-        )
-        # Transport pressure (cluster runs; stays 0 under LocalExecutor):
-        # comparable next to the per-component queue_high_water marks.
-        self._backpressure = self.registry.counter(
-            "repro_transport_backpressure_waits_total",
-            "Times a full transport buffer made the sender wait.",
-        )
-        self._ring_occupancy = self.registry.gauge(
-            "repro_transport_ring_occupancy",
-            "Fullest shm ring fraction observed at last sample (0..1).",
-        )
+        self._rows: dict[str, RegistryRow] = {}  # per component
 
-    # -- reliability counters (attribute API preserved) --------------------
-
-    @property
-    def replays(self) -> int:
-        return int(self._replays.value)
-
-    @replays.setter
-    def replays(self, value: int) -> None:
-        self._replays._set(value)
-
-    @property
-    def checkpoints(self) -> int:
-        return int(self._checkpoints.value)
-
-    @checkpoints.setter
-    def checkpoints(self, value: int) -> None:
-        self._checkpoints._set(value)
-
-    @property
-    def recoveries(self) -> int:
-        return int(self._recoveries.value)
-
-    @recoveries.setter
-    def recoveries(self, value: int) -> None:
-        self._recoveries._set(value)
-
-    @property
-    def wall_seconds(self) -> float:
-        return self._wall.value
-
-    @wall_seconds.setter
-    def wall_seconds(self, value: float) -> None:
-        self._wall.set(value)
-
-    @property
-    def backpressure_waits(self) -> int:
-        return int(self._backpressure.value)
-
-    @backpressure_waits.setter
-    def backpressure_waits(self, value: int) -> None:
-        self._backpressure._set(value)
-
-    @property
-    def ring_occupancy(self) -> float:
-        return self._ring_occupancy.value
-
-    @ring_occupancy.setter
-    def ring_occupancy(self, value: float) -> None:
-        self._ring_occupancy.set(value)
-
-    # -- latency -----------------------------------------------------------
+    def publish(self) -> None:
+        """Write every counter and gauge into :attr:`registry` in one pass."""
+        for name, entry in list(self.components.items()):
+            row = self._rows.get(name)
+            if row is None:
+                row = self._rows[name] = RegistryRow(
+                    [family.labels(component=name) for family in self._families],
+                    [self._high_water.labels(component=name)],
+                )
+            row.advance(_component_row(entry))
+        self._run.advance(_run_row(self))
 
     def record_latency(self, seconds: float) -> None:
         """Add one end-to-end latency sample (seconds)."""
@@ -211,22 +104,14 @@ class ExecutionMetrics:
         """Latency quantile in seconds (0 when nothing completed)."""
         return self.latency.quantile(q)
 
-    # -- derived -----------------------------------------------------------
-
     def throughput(self) -> float:
         """Source tuples per wall-clock second."""
-        emitted = sum(
-            m.emitted for name, m in self.components.items() if name.startswith("spout:")
-        )
-        wall = self.wall_seconds
-        return emitted / wall if wall > 0 else 0.0
-
-    def _component_items(self) -> Iterator[tuple[str, ComponentMetrics]]:
-        return iter(sorted(self.components.items()))
+        components = list(self.components.items())
+        emitted = sum(m.emitted for name, m in components if name.startswith("spout:"))
+        return emitted / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
     def summary(self) -> dict:
-        """Flat dict for reports, including per-component counters and the
-        queue high-water marks ``_route`` collects (backpressure)."""
+        """Flat dict for reports, per-component counters included."""
         return {
             "throughput_tps": round(self.throughput(), 1),
             "latency_p50_ms": round(self.latency_quantile(0.5) * 1e3, 3),
@@ -237,6 +122,6 @@ class ExecutionMetrics:
             "backpressure_waits": self.backpressure_waits,
             "ring_occupancy": round(self.ring_occupancy, 4),
             "components": {
-                name: entry.as_dict() for name, entry in self._component_items()
+                name: m.as_dict() for name, m in sorted(self.components.items())
             },
         }

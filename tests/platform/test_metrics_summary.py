@@ -1,5 +1,5 @@
 """ExecutionMetrics pressure signals: backpressure waits + ring occupancy
-surface in summary() and write through to the shared registry."""
+surface in summary() and reach the shared registry on publish()."""
 
 from repro.platform.metrics import ExecutionMetrics
 
@@ -19,11 +19,12 @@ class TestPressureSignals:
         assert summary["ring_occupancy"] == 0.625  # rounded for the report
 
     def test_values_live_in_the_registry(self):
-        # The façade writes through: exporters and `repro-obs` see the
-        # same numbers without a second bookkeeping path.
+        # Counting is plain ints; publish() (called where the owner folds)
+        # writes them, so exporters and `repro-obs` see summary()'s numbers.
         metrics = ExecutionMetrics()
         metrics.backpressure_waits = 3
         metrics.ring_occupancy = 0.25
+        metrics.publish()
         waits = metrics.registry.get("repro_transport_backpressure_waits_total")
         ring = metrics.registry.get("repro_transport_ring_occupancy")
         assert waits.samples()[0].value == 3
