@@ -31,13 +31,9 @@ class ModuleContext:
         """Parse *path*; raises ``SyntaxError`` on unparsable source."""
         source = path.read_text(encoding="utf-8")
         tree = ast.parse(source, filename=str(path))
-        try:
-            relpath = path.resolve().relative_to(root.resolve()).as_posix()
-        except ValueError:
-            relpath = path.as_posix()
         ctx = cls(
             path=path,
-            relpath=relpath,
+            relpath=relpath_under(path, root),
             source=source,
             tree=tree,
             suppressions=SuppressionIndex.from_source(source),
@@ -69,6 +65,14 @@ class ModuleContext:
             return None
         parts.append(origin)
         return ".".join(reversed(parts))
+
+
+def relpath_under(path: Path, root: Path) -> str:
+    """Posix path of *path* relative to *root* (as given when outside it)."""
+    try:
+        return path.resolve().relative_to(root.resolve()).as_posix()
+    except ValueError:
+        return path.as_posix()
 
 
 def _collect_import_aliases(tree: ast.Module) -> dict[str, str]:

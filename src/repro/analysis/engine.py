@@ -1,22 +1,18 @@
 """The streamlint rule engine.
 
 Rules subclass :class:`Rule` and register themselves with the ``@rule``
-decorator. v2 runs in three stages:
+decorator. A run has three stages, all in one process:
 
 1. **Per-file analysis** — each module is parsed once, every module-scoped
-   rule runs over it, and a serialisable *facts* document is extracted
-   (:mod:`repro.analysis.facts`). This stage is a pure function of the
-   file bytes, so it parallelises across a process pool (``jobs``) and
-   its results live in the mtime+hash cache (``cache_path``) — a warm
-   run parses nothing.
+   rule runs over it, and a *facts* document is extracted
+   (:mod:`repro.analysis.facts`).
 2. **Project analysis** — the facts are assembled into a
    :class:`~repro.analysis.project.ProjectModel` (cross-module class
-   hierarchy, attribute types, registration surfaces) and project-scoped
-   rules query it.
-3. **Filtering** — selection (``--select``/``--ignore``), inline
+   hierarchy, attribute types) and project-scoped rules query it.
+3. **Filtering** — selection (``--select``/``--ignore``) and inline
    suppressions routed through each finding's *relpath* (so a project
    rule's finding is suppressible in the file it points at, wherever the
-   evidence came from), and finally the committed baseline.
+   evidence came from).
 
 Unparsable files produce a synthetic ``SL000`` syntax-error finding instead
 of crashing the run, so one broken module cannot hide findings in the rest
@@ -25,16 +21,11 @@ of the tree.
 
 from __future__ import annotations
 
-import ast
-import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Type
 
-from repro.analysis.baseline import apply_baseline
-from repro.analysis.cache import AnalysisCache
-from repro.analysis.context import ModuleContext, _collect_import_aliases
+from repro.analysis.context import ModuleContext, relpath_under
 from repro.analysis.facts import extract_facts
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.project import ProjectModel
@@ -143,9 +134,6 @@ class AnalysisResult:
 
     findings: list[Finding]
     file_count: int = 0
-    baseline_absorbed: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: Worst surviving severity, for exit-code mapping (None when clean).
     worst: Severity | None = field(init=False, default=None)
 
@@ -157,85 +145,38 @@ class AnalysisResult:
             self.worst = Severity.WARNING
 
 
-# -- per-file stage (runs in worker processes) --------------------------------
+# -- per-file stage ------------------------------------------------------------
 
 
-def _analyze_file(job: tuple[str, str]) -> dict:
-    """Parse one file, run module rules, extract facts.
+@dataclass
+class _FileResult:
+    """One module's module-rule findings, facts and suppressions."""
 
-    Takes/returns only JSON-serialisable data so it can cross a process
-    pool and live in the result cache. The envelope carries the stat+hash
-    identity the cache validates against.
-    """
-    path_str, root_str = job
-    path = Path(path_str)
-    stat = path.stat()
-    raw = path.read_bytes()
-    source = raw.decode("utf-8")
+    relpath: str
+    findings: list[Finding]
+    facts: dict | None
+    suppressions: SuppressionIndex
+
+
+def _analyze_file(path: Path, root: Path) -> _FileResult:
+    """Parse one file, run module rules, extract facts."""
     try:
-        relpath = path.resolve().relative_to(Path(root_str).resolve()).as_posix()
-    except ValueError:
-        relpath = path.as_posix()
-
-    record: dict = {"path": path_str, "relpath": relpath}
-    try:
-        tree = ast.parse(source, filename=path_str)
+        ctx = ModuleContext.from_file(path, root)
     except SyntaxError as exc:
-        record["findings"] = [
-            Finding(
-                path=path_str,
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-                rule_id=SYNTAX_ERROR_RULE,
-                severity=Severity.ERROR,
-                message=f"syntax error: {exc.msg}",
-                relpath=relpath,
-            ).to_dict()
-        ]
-        record["facts"] = None
-        record["suppressions"] = SuppressionIndex().to_dict()
-    else:
-        ctx = ModuleContext(
-            path=path,
+        relpath = relpath_under(path, root)
+        error = Finding(
+            path=str(path),
+            line=exc.lineno or 1,
+            col=(exc.offset or 1) - 1,
+            rule_id=SYNTAX_ERROR_RULE,
+            severity=Severity.ERROR,
+            message=f"syntax error: {exc.msg}",
             relpath=relpath,
-            source=source,
-            tree=tree,
-            suppressions=SuppressionIndex.from_source(source),
         )
-        ctx.aliases = _collect_import_aliases(tree)
-        rules = [cls() for cls in all_rules().values() if cls.scope == "module"]
-        record["findings"] = [
-            f.to_dict() for r in rules for f in r.check_module(ctx)
-        ]
-        record["facts"] = extract_facts(ctx)
-        record["suppressions"] = ctx.suppressions.to_dict()
-
-    return {
-        "mtime_ns": stat.st_mtime_ns,
-        "size": stat.st_size,
-        "sha256": hashlib.sha256(raw).hexdigest(),
-        "record": record,
-    }
-
-
-def _rehome(record: dict, path_str: str) -> dict:
-    """Point a (possibly cached) record at the as-given display path."""
-    if record["path"] == path_str:
-        return record
-    record = dict(record)
-    record["path"] = path_str
-    record["findings"] = [dict(d, path=path_str) for d in record["findings"]]
-    if record["facts"] is not None:
-        record["facts"] = dict(record["facts"], path=path_str)
-    return record
-
-
-def _compute(jobs_list: list[tuple[str, str]], jobs: int) -> list[tuple[tuple, dict]]:
-    if jobs <= 1 or len(jobs_list) <= 1:
-        return [(job, _analyze_file(job)) for job in jobs_list]
-    chunk = max(1, len(jobs_list) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(zip(jobs_list, pool.map(_analyze_file, jobs_list, chunksize=chunk)))
+        return _FileResult(relpath, [error], None, SuppressionIndex())
+    rules = [cls() for cls in all_rules().values() if cls.scope == "module"]
+    findings = [f for r in rules for f in r.check_module(ctx)]
+    return _FileResult(ctx.relpath, findings, extract_facts(ctx), ctx.suppressions)
 
 
 # -- orchestration ------------------------------------------------------------
@@ -245,72 +186,25 @@ def run_analysis(
     paths: Sequence[Path | str],
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
-    *,
-    jobs: int = 1,
-    cache_path: Path | str | None = None,
-    baseline: dict[str, int] | None = None,
 ) -> AnalysisResult:
-    """Full engine run with cache/parallel/baseline plumbing exposed."""
-    roots = [Path(p) for p in paths]
+    """Run every (selected) rule over *paths*; findings plus file count."""
     keep = _selected_rule_ids(select, ignore)
-
-    files: list[tuple[str, str]] = []
-    for root in roots:
+    files: set[tuple[Path, Path]] = set()
+    for root in (Path(p) for p in paths):
         scan_root = root if root.is_dir() else root.parent
-        for file in iter_python_files([root]):
-            files.append((str(file), str(scan_root)))
+        files.update((file, scan_root) for file in iter_python_files([root]))
+    results = [_analyze_file(path, root) for path, root in sorted(files)]
+    suppressions = {res.relpath: res.suppressions for res in results}
 
-    cache = AnalysisCache.load(Path(cache_path)) if cache_path else None
-    records: dict[tuple[str, str], dict] = {}
-    to_compute: list[tuple[str, str]] = []
-    seen_keys: set[str] = set()
-    for job in files:
-        key = _cache_key(job)
-        seen_keys.add(key)
-        hit = None
-        if cache is not None:
-            path = Path(job[0])
-            try:
-                hit = cache.lookup(key, path, path.stat())
-            except OSError:
-                hit = None
-        if hit is not None:
-            records[job] = _rehome(hit, job[0])
-        else:
-            to_compute.append(job)
-
-    for job, envelope in _compute(to_compute, jobs):
-        records[job] = envelope["record"]
-        if cache is not None:
-            cache.put(_cache_key(job), envelope)
-    if cache is not None:
-        cache.save(seen_keys)
-
-    ordered = [records[job] for job in sorted(records)]
-    suppressions = {
-        rec["relpath"]: SuppressionIndex.from_dict(rec["suppressions"])
-        for rec in ordered
-    }
-
-    findings: list[Finding] = []
-    for rec in ordered:
-        for doc in rec["findings"]:
-            finding = Finding.from_dict(doc)
-            if (
-                finding.rule_id != SYNTAX_ERROR_RULE
-                and finding.rule_id not in keep
-            ):
-                continue
-            if _is_suppressed(suppressions, finding):
-                continue
-            findings.append(finding)
-
+    findings = [
+        finding
+        for res in results
+        for finding in res.findings
+        if (finding.rule_id == SYNTAX_ERROR_RULE or finding.rule_id in keep)
+        and not _is_suppressed(suppressions, finding)
+    ]
     model = ProjectModel(
-        {
-            rec["relpath"]: rec["facts"]
-            for rec in ordered
-            if rec["facts"] is not None
-        }
+        {res.relpath: res.facts for res in results if res.facts is not None}
     )
     for rule_id, cls in all_rules().items():
         if cls.scope != "project" or rule_id not in keep:
@@ -318,28 +212,14 @@ def run_analysis(
         for finding in cls().check_project(model):
             if not _is_suppressed(suppressions, finding):
                 findings.append(finding)
-
     findings.sort()
-    absorbed = 0
-    if baseline:
-        findings, absorbed = apply_baseline(findings, baseline)
-    return AnalysisResult(
-        findings=findings,
-        file_count=len(files),
-        baseline_absorbed=absorbed,
-        cache_hits=cache.hits if cache else 0,
-        cache_misses=cache.misses if cache else len(files),
-    )
+    return AnalysisResult(findings=findings, file_count=len(files))
 
 
 def analyze_paths(
     paths: Sequence[Path | str],
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
-    *,
-    jobs: int = 1,
-    cache_path: Path | str | None = None,
-    baseline: dict[str, int] | None = None,
 ) -> list[Finding]:
     """Run every (selected) rule over *paths* and return sorted findings.
 
@@ -347,14 +227,7 @@ def analyze_paths(
     Suppression comments are honoured last, so a suppressed finding never
     appears regardless of selection.
     """
-    return run_analysis(
-        paths, select, ignore, jobs=jobs, cache_path=cache_path, baseline=baseline
-    ).findings
-
-
-def _cache_key(job: tuple[str, str]) -> str:
-    path_str, root_str = job
-    return f"{Path(root_str).resolve()}::{Path(path_str).resolve()}"
+    return run_analysis(paths, select, ignore).findings
 
 
 def _is_suppressed(

@@ -1,18 +1,11 @@
 """Per-module fact extraction: the raw material of the project model.
 
-The v2 engine analyzes each file exactly once and keeps only a compact,
-JSON-serialisable *facts* document per module — class declarations with
-resolved base origins, inferred ``self.*`` attribute types, candidate
-global-state mutations, payload-taint reaching metric labels, and the
-registration surfaces (``core/registry.py`` references,
-``register_reducer`` calls). Project-scoped rules query the
-:class:`~repro.analysis.project.ProjectModel` assembled from these facts
-and never touch an AST, which is what lets the mtime+hash result cache
-skip *parsing* unchanged files entirely while cross-file rules still see
-the whole tree.
-
-Everything here is deliberately plain ``dict``/``list`` data so a facts
-document round-trips through the cache file without a custom codec.
+The engine analyzes each file exactly once and keeps a compact *facts*
+document per module — class declarations with resolved base origins,
+inferred ``self.*`` attribute types, candidate global-state mutations and
+payload-taint reaching metric labels. Project-scoped rules query the
+:class:`~repro.analysis.project.ProjectModel` assembled from these facts,
+so cross-file rules see the whole tree without holding every AST.
 """
 
 from __future__ import annotations
@@ -21,9 +14,6 @@ import ast
 from typing import Any, Iterator
 
 from repro.analysis.context import ModuleContext
-
-#: Module-relative suffix of the synopsis name registry.
-REGISTRY_SUFFIX = "core/registry.py"
 
 #: Mutating container verbs: calling one of these on a module-level global
 #: from operator code is per-process shadow state under ``repro.cluster``.
@@ -98,18 +88,11 @@ _PAYLOAD_METHODS = frozenset({"process", "execute"})
 
 
 def extract_facts(ctx: ModuleContext) -> dict[str, Any]:
-    """The serialisable facts document for one parsed module."""
+    """The facts document for one parsed module."""
     facts: dict[str, Any] = {
         "path": str(ctx.path),
-        "relpath": ctx.relpath,
         "imports": dict(ctx.aliases),
         "module_globals": _module_globals(ctx),
-        "reducer_registered": _reducer_registered(ctx.tree),
-        "registry_referenced": (
-            sorted(_referenced_names(ctx.tree))
-            if ctx.relpath.endswith(REGISTRY_SUFFIX)
-            else None
-        ),
         "classes": {},
         "functions": {},
     }
@@ -151,37 +134,6 @@ def _module_globals(ctx: ModuleContext) -> dict[str, dict]:
                     "callee": callee,
                 }
     return out
-
-
-def _reducer_registered(tree: ast.Module) -> list[str]:
-    """Class names passed to ``register_reducer(...)`` in this module."""
-    names: set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        func_name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else None
-        )
-        if func_name != "register_reducer" or not node.args:
-            continue
-        target = node.args[0]
-        if isinstance(target, ast.Name):
-            names.add(target.id)
-        elif isinstance(target, ast.Attribute):
-            names.add(target.attr)
-    return sorted(names)
-
-
-def _referenced_names(tree: ast.Module) -> set[str]:
-    """Names a module *uses* in expressions (the SL006 registration test)."""
-    names: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
 
 
 # -- type inference -----------------------------------------------------------
@@ -338,9 +290,6 @@ def _function_facts(
     facts: dict[str, Any] = {
         "line": node.lineno,
         "col": node.col_offset,
-        "params": params,
-        "calls_self_update": False,
-        "calls_compat_check": False,
         "self_mutations": [],
         "self_reads": [],
         "self_iterations": [],
@@ -354,7 +303,7 @@ def _function_facts(
 
     for sub in ast.walk(node):
         if isinstance(sub, ast.Call):
-            _record_call(sub, facts, locals_, in_class)
+            _record_call(sub, facts, locals_)
         elif isinstance(sub, ast.For):
             attr = _self_attr(sub.iter)
             if attr is not None:
@@ -429,32 +378,15 @@ def _self_attr(node: ast.expr) -> str | None:
     return None
 
 
-def _record_call(
-    call: ast.Call, facts: dict, locals_: set[str], in_class: bool
-) -> None:
+def _record_call(call: ast.Call, facts: dict, locals_: set[str]) -> None:
     func = call.func
     if isinstance(func, ast.Name):
         if func.id == "id" and call.args:
             facts["id_calls"].append([call.lineno, call.col_offset])
-        if func.id == "super":
-            pass
         return
     if not isinstance(func, ast.Attribute):
         return
     owner = func.value
-    # self.update(...) / self._check_mergeable(...) / super().merge(...)
-    if in_class and isinstance(owner, ast.Name) and owner.id == "self":
-        if func.attr == "update":
-            facts["calls_self_update"] = True
-        if func.attr == "_check_mergeable":
-            facts["calls_compat_check"] = True
-    if (
-        func.attr == "merge"
-        and isinstance(owner, ast.Call)
-        and isinstance(owner.func, ast.Name)
-        and owner.func.id == "super"
-    ):
-        facts["calls_compat_check"] = True
     # self.<attr>.mutator(...) is a self-state mutation; <attr>.pop() with
     # no argument is order-dependent on sets.
     attr = _self_attr(owner)

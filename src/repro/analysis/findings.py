@@ -6,10 +6,9 @@ reports are stable across runs — determinism in the linter itself, matching
 the determinism it enforces.
 
 Each finding also carries the module's *relpath* (posix path relative to
-the scan root). Location-independent identity — what the baseline file and
-the suppression router key on — uses the relpath, so a tree scanned as
-``src/repro`` and the same tree scanned via an absolute path produce the
-same keys.
+the scan root), which the suppression router keys on, so a tree scanned
+as ``src/repro`` and the same tree scanned via an absolute path are
+silenced by the same pragmas.
 """
 
 from __future__ import annotations
@@ -52,16 +51,8 @@ class Finding:
             f"{self.rule_id} {self.severity}: {self.message}"
         )
 
-    def baseline_key(self) -> str:
-        """Location-independent identity used by the baseline file.
-
-        Line numbers shift on every edit, so the baseline keys on the
-        module-relative path, the rule and the message instead.
-        """
-        return f"{self.relpath or self.path}::{self.rule_id}::{self.message}"
-
     def to_dict(self) -> dict:
-        """JSON-serialisable representation (reporters, result cache)."""
+        """JSON-serialisable representation (the JSON reporter)."""
         return {
             "path": self.path,
             "line": self.line,
@@ -71,16 +62,3 @@ class Finding:
             "message": self.message,
             "relpath": self.relpath,
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Finding":
-        """Rebuild a finding from :meth:`to_dict` output (cache revival)."""
-        return cls(
-            path=doc["path"],
-            line=doc["line"],
-            col=doc["col"],
-            rule_id=doc["rule"],
-            severity=Severity(doc["severity"]),
-            message=doc["message"],
-            relpath=doc.get("relpath", ""),
-        )

@@ -1,24 +1,18 @@
 """The project model: cross-module semantic indexes for project rules.
 
 Assembled once per run from the per-module facts documents
-(:mod:`repro.analysis.facts`), never from ASTs — so a warm-cache run
-builds it without parsing a single file. It resolves the class hierarchy
-across modules (``base_origins`` carry import-alias-resolved dotted
-names), exposes the registration surfaces (``core/registry.py``
-references, ``register_reducer`` calls anywhere in the tree), and builds
-the module import graph.
+(:mod:`repro.analysis.facts`), never from ASTs. It resolves the class
+hierarchy across modules (``base_origins`` carry import-alias-resolved
+dotted names) and builds the module import graph.
 
 Hierarchy roots (``SynopsisBase``, ``Bolt``, ``Spout``) are matched by
-simple name, exactly like the PR 1 SL006 scan did — fixture trees that
-declare their own tiny ``class Bolt`` hierarchy exercise project rules
-without importing the real runtime.
+simple name, so fixture trees that declare their own tiny ``class Bolt``
+hierarchy exercise project rules without importing the real runtime.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterator
-
-from repro.analysis.facts import REGISTRY_SUFFIX
 
 #: Root base classes of the two stateful runtime hierarchies.
 SYNOPSIS_ROOT = "SynopsisBase"
@@ -35,22 +29,12 @@ class ProjectModel:
         #: simple class name -> (relpath, class facts); first module wins
         #: on (rare) duplicate names, deterministic via the sort above.
         self.classes: dict[str, tuple[str, dict]] = {}
-        #: class names passed to ``register_reducer`` anywhere in the tree.
-        self.reducer_registered: set[str] = set()
-        #: names referenced by ``core/registry.py`` (None when absent).
-        self.registry_referenced: set[str] | None = None
-        self.registry_relpath: str | None = None
         #: relpath -> set of relpaths it imports (intra-tree edges only).
         self.import_graph: dict[str, set[str]] = {}
 
         for relpath, facts in self.modules.items():
             for name, cf in facts.get("classes", {}).items():
                 self.classes.setdefault(name, (relpath, cf))
-            self.reducer_registered.update(facts.get("reducer_registered", ()))
-            if facts.get("registry_referenced") is not None:
-                if relpath.endswith(REGISTRY_SUFFIX):
-                    self.registry_relpath = relpath
-                    self.registry_referenced = set(facts["registry_referenced"])
         self._build_import_graph()
 
     # -- import graph --------------------------------------------------------
@@ -179,20 +163,6 @@ class ProjectModel:
                 return info
             stack.extend(entry[1].get("bases", ()))
         return None
-
-    # -- registration surfaces ----------------------------------------------
-
-    def registered_names(self) -> set[str]:
-        """Classes covered by a registration surface.
-
-        Union of names the synopsis registry references (each is exercised
-        by the registry-wide contract/batch-equivalence suites) and names
-        with a ``register_reducer`` serialization hook.
-        """
-        names = set(self.reducer_registered)
-        if self.registry_referenced is not None:
-            names |= self.registry_referenced
-        return names
 
     # -- convenience ---------------------------------------------------------
 

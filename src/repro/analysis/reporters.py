@@ -1,11 +1,9 @@
-"""Finding reporters: human text, machine JSON, and SARIF.
+"""Finding reporters: human text and machine JSON.
 
 Reporters take the sorted finding list and render to a string; the CLI
 picks one via ``--format``. JSON output carries a summary block (counts
 by rule and severity) so CI dashboards can trend rule hits without
-re-parsing individual findings. SARIF 2.1.0 output is what GitHub code
-scanning ingests — uploading it annotates PR diffs with findings inline,
-which is how the new project-scoped rules surface in review.
+re-parsing individual findings.
 """
 
 from __future__ import annotations
@@ -15,11 +13,6 @@ import json
 from typing import Sequence
 
 from repro.analysis.findings import Finding, Severity
-
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
 
 
 def render_text(findings: Sequence[Finding]) -> str:
@@ -57,66 +50,4 @@ def render_json(findings: Sequence[Finding]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def render_sarif(findings: Sequence[Finding]) -> str:
-    """SARIF 2.1.0 document (GitHub code-scanning compatible)."""
-    # imported here, not at module top, to avoid an import cycle with the
-    # engine (reporters are engine-independent except for rule metadata)
-    from repro.analysis.engine import all_rules
-
-    rules_meta = [
-        {
-            "id": rule_id,
-            "shortDescription": {"text": cls.description},
-            "defaultConfiguration": {
-                "level": "error" if cls.severity is Severity.ERROR else "warning"
-            },
-        }
-        for rule_id, cls in all_rules().items()
-    ]
-    rule_index = {meta["id"]: i for i, meta in enumerate(rules_meta)}
-    results = []
-    for f in findings:
-        results.append(
-            {
-                "ruleId": f.rule_id,
-                **(
-                    {"ruleIndex": rule_index[f.rule_id]}
-                    if f.rule_id in rule_index
-                    else {}
-                ),
-                "level": "error" if f.severity is Severity.ERROR else "warning",
-                "message": {"text": f.message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {"uri": f.path.replace("\\", "/")},
-                            "region": {
-                                "startLine": f.line,
-                                # SARIF columns are 1-based; findings are 0-based
-                                "startColumn": f.col + 1,
-                            },
-                        }
-                    }
-                ],
-            }
-        )
-    doc = {
-        "$schema": _SARIF_SCHEMA,
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "streamlint",
-                        "informationUri": "https://example.invalid/streamlint",
-                        "rules": rules_meta,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(doc, indent=2)
-
-
-REPORTERS = {"text": render_text, "json": render_json, "sarif": render_sarif}
+REPORTERS = {"text": render_text, "json": render_json}

@@ -8,11 +8,9 @@ below.
 
 from repro.analysis.rules import (  # noqa: F401 - registration side effects
     sl001_unseeded_random,
-    sl002_synopsis_contract,
     sl003_mutable_defaults,
     sl004_wall_clock,
     sl005_swallowed_exceptions,
-    sl006_registry_drift,
     sl007_shared_globals,
     sl008_unshippable_state,
     sl009_unmergeable_state,
@@ -21,16 +19,14 @@ from repro.analysis.rules import (  # noqa: F401 - registration side effects
     sl012_label_cardinality,
     sl013_pickled_hot_path,
     sl015_async_blocking,
-    sl016_split_contract,
+    sl016_migration_barrier,
 )
 
 __all__ = [
     "sl001_unseeded_random",
-    "sl002_synopsis_contract",
     "sl003_mutable_defaults",
     "sl004_wall_clock",
     "sl005_swallowed_exceptions",
-    "sl006_registry_drift",
     "sl007_shared_globals",
     "sl008_unshippable_state",
     "sl009_unmergeable_state",
@@ -39,5 +35,5 @@ __all__ = [
     "sl012_label_cardinality",
     "sl013_pickled_hot_path",
     "sl015_async_blocking",
-    "sl016_split_contract",
+    "sl016_migration_barrier",
 ]

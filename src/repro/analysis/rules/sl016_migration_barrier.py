@@ -1,36 +1,26 @@
-"""SL016 — elastic split contract and migration-barrier discipline.
+"""SL016 — migration state surgery stays inside the barrier.
 
-The elastic runtime's correctness rests on two statically checkable
-disciplines, and silent violations of either corrupt answers only at
-rescale time — the worst possible moment to discover them:
+The elastic runtime's correctness rests on a lexical discipline whose
+silent violation corrupts answers only at rescale time — the worst
+possible moment to discover it. In ``elastic`` packages, any function
+that captures, re-shards or restores live cluster state
+(``.merge(...)``/``.split(...)`` on synopses, ``stateship``
+capture/restore, or worker ``snapshot``/``restore`` messages, sent
+directly or through the coordinator's ``_broadcast``) is *migration
+surgery*; calling one outside a ``with migration_barrier(...)`` block
+operates on a torn cut — tuples still in flight mutate shards mid-copy
+(**error** at the call site). Barrier-less surgery helpers may compose
+each other freely inside their bodies — the barrier obligation sits where
+other code invokes them — but a function that opens a barrier is an
+orchestrator and is held to it: any surgery it performs or delegates
+outside the ``with`` is flagged.
 
-* **split must invert merge.** ``merge(*split(s, n))`` must reproduce
-  ``s`` exactly (``tests/core/test_split_roundtrip.py`` pins it by
-  fingerprint). A synopsis that defines ``_split_into`` but has no
-  ``_merge_into`` anywhere below ``SynopsisBase`` has an inverse-less
-  split: the re-sharded partials can never be folded back (**error**).
-  And ``_split_into`` must not mutate ``self`` — the planner treats the
-  merged source as still-live (drain-and-restart parks it on task 0
-  after a failed split), so a destructive split tears state exactly when
-  the fallback needs it intact (**error**).
-* **state surgery stays inside the barrier.** In ``elastic`` packages,
-  any function that captures, re-shards or restores live cluster state
-  (``.merge(...)``/``.split(...)`` on synopses, ``stateship``
-  capture/restore, or worker ``snapshot``/``restore`` messages, sent
-  directly or through the coordinator's ``_broadcast``) is
-  *migration surgery*; calling one outside a ``with
-  migration_barrier(...)`` block operates on a torn cut — tuples still
-  in flight mutate shards mid-copy (**error** at the call site).
-  Barrier-less surgery helpers may compose each other freely inside
-  their bodies — the barrier obligation sits where other code invokes
-  them — but a function that opens a barrier is an orchestrator and is
-  held to it: any surgery it performs or delegates outside the ``with``
-  is flagged.
-
-The surgery check is lexical by design: a function that wants to be
-callable without a barrier must take the barrier itself (as
-``perform_rescale`` does), which makes the protocol's entry points
-visibly self-quiescing.
+The check is lexical by design: a function that wants to be callable
+without a barrier must take the barrier itself (as ``perform_rescale``
+does), which makes the protocol's entry points visibly self-quiescing.
+The split contract itself (``merge(*split(s, n))`` reproduces ``s`` and
+leaves it intact) is pinned at run time for every registered synopsis by
+``tests/core/test_split_roundtrip.py``.
 """
 
 from __future__ import annotations
@@ -40,9 +30,7 @@ from typing import Iterator
 
 from repro.analysis.engine import Rule, rule
 from repro.analysis.findings import Finding
-from repro.analysis.project import SYNOPSIS_ROOT, ProjectModel
-
-_ROOT_STOP = frozenset({SYNOPSIS_ROOT})
+from repro.analysis.project import ProjectModel
 
 #: Attribute calls that mutate or re-deal synopsis state.
 _SURGERY_ATTRS = frozenset({"merge", "split"})
@@ -132,61 +120,17 @@ class _BarrierWalker:
 
 
 @rule
-class SplitContractRule(Rule):
-    """Flags inverse-less/destructive splits and un-barriered migration."""
+class MigrationBarrierRule(Rule):
+    """Flags migration state surgery outside a barrier block."""
 
     rule_id = "SL016"
     description = (
-        "synopsis split without a merge inverse, split mutating self, or "
-        "migration state surgery outside a migration_barrier block"
+        "migration state surgery in an elastic package outside a "
+        "migration_barrier block"
     )
     scope = "project"
 
     def check_project(self, project: ProjectModel) -> Iterator[Finding]:
-        yield from self._check_split_contract(project)
-        yield from self._check_barrier_discipline(project)
-
-    # -- split/merge inverse pair -------------------------------------------
-
-    def _check_split_contract(self, project: ProjectModel) -> Iterator[Finding]:
-        for relpath, name, cf in project.subclasses_of(SYNOPSIS_ROOT):
-            split = cf.get("methods", {}).get("_split_into")
-            if split is None:
-                continue
-            merge = project.resolve_method(
-                name, "_merge_into", stop_roots=_ROOT_STOP
-            )
-            if merge is None:
-                yield self.project_finding(
-                    project,
-                    relpath,
-                    split["line"],
-                    split["col"],
-                    f"{name} defines _split_into but no _merge_into below "
-                    f"{SYNOPSIS_ROOT}: the split has no inverse, so "
-                    "re-sharded partials can never be folded back "
-                    "(merge(*split(s, n)) must equal s)",
-                )
-            mutations = split.get("self_mutations", ())
-            if mutations:
-                attrs = ", ".join(sorted({m[0] for m in mutations}))
-                line, col = mutations[0][1], mutations[0][2]
-                yield self.project_finding(
-                    project,
-                    relpath,
-                    line,
-                    col,
-                    f"{name}._split_into mutates self ({attrs}); split must "
-                    "leave the source intact — the drain-and-restart "
-                    "fallback re-parks the merged source after a failed "
-                    "split, and a destructive split tears it",
-                )
-
-    # -- barrier discipline in elastic packages -----------------------------
-
-    def _check_barrier_discipline(
-        self, project: ProjectModel
-    ) -> Iterator[Finding]:
         for relpath, facts in project.modules.items():
             if not _in_elastic_package(relpath):
                 continue

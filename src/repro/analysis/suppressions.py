@@ -68,18 +68,3 @@ class SuppressionIndex:
             return True
         at_line = self._by_line.get(line)
         return bool(at_line) and (ALL in at_line or rule_id in at_line)
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable form (the engine's result cache)."""
-        return {
-            "lines": {str(k): sorted(v) for k, v in self._by_line.items()},
-            "file": sorted(self._file_wide),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SuppressionIndex":
-        index = cls()
-        for line, rules in doc.get("lines", {}).items():
-            index._by_line[int(line)] = set(rules)
-        index._file_wide = set(doc.get("file", ()))
-        return index

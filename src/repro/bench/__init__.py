@@ -1,22 +1,20 @@
 """The ``repro.bench`` measurement harness (the ``BENCH_*.json`` trajectories).
 
 The paper's premise is that synopses must keep up with stream *velocity*;
-this package measures whether ours do. Three suites share one schema
+this package measures whether ours do. Two suites share one schema
 (``repro.bench/v3``: rows are named arms of a case, median + IQR over
 repeats, one ``env`` stamp) and one timing helper
 (:func:`~repro.bench.runner.measure`):
 
 * synopsis kernels — sequential ``update`` vs. batched ``update_many``
   per hot-path synopsis, verified bit-identical (``BENCH_synopses.json``);
-* streamlint — full-tree analysis cold vs. warm cache × 1 vs. auto jobs
-  (:mod:`repro.bench.lint`, ``BENCH_lint.json``);
 * elasticity — the spike workload on a fixed vs. an autoscaled cluster
   (:mod:`repro.bench.elastic`, ``BENCH_elastic.json``).
 
 Engine, cluster, serving and tracing throughput and latency are measured
 by the gated end-to-end benchmark in ``benchmarks/e2e/`` instead.
 
-Run it with ``python -m repro.bench [--lint | --elastic]`` or the
+Run it with ``python -m repro.bench [--elastic]`` or the
 ``repro-bench`` console script.
 """
 

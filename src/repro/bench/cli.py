@@ -3,8 +3,7 @@
 Runs one suite, prints its table and writes the validated
 ``repro.bench/v3`` payload. By default that is the synopsis-kernel suite
 (:func:`repro.bench.runner.run_bench`, ``BENCH_synopses.json``);
-``--lint`` switches to the streamlint suite (:mod:`repro.bench.lint`,
-``BENCH_lint.json``) and ``--elastic`` to the elasticity suite
+``--elastic`` switches to the elasticity suite
 (:mod:`repro.bench.elastic`, ``BENCH_elastic.json``). ``--smoke`` is the
 CI mode: a tiny workload and one repeat that still exercises every arm,
 checks every arm's equivalence and validates the payload.
@@ -32,22 +31,15 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``repro-bench`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="repro-bench",
-        description="Synopsis-kernel, streamlint and elasticity benches.",
+        description="Synopsis-kernel and elasticity benches.",
     )
     parser.add_argument(
         "--out",
         default=None,
         help="output JSON path (default: BENCH_synopses.json, "
-        "BENCH_lint.json with --lint, BENCH_elastic.json with --elastic)",
+        "BENCH_elastic.json with --elastic)",
     )
-    suite = parser.add_mutually_exclusive_group()
-    suite.add_argument(
-        "--lint",
-        action="store_true",
-        help="measure streamlint full-tree analysis (cold vs. warm cache, "
-        "1 vs. auto jobs) instead of synopsis ingest",
-    )
-    suite.add_argument(
+    parser.add_argument(
         "--elastic",
         action="store_true",
         help="measure elasticity (spike workload on a fixed cluster vs. "
@@ -88,11 +80,6 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed, repeats=repeats, smoke=args.smoke, **sizes
         )
         default_out = "BENCH_elastic.json"
-    elif args.lint:
-        from repro.bench.lint import run_lint_bench
-
-        payload = run_lint_bench(repeats=repeats, seed=args.seed, smoke=args.smoke)
-        default_out = "BENCH_lint.json"
     else:
         n_items = 2_000 if args.smoke else (args.items or 100_000)
         payload = run_bench(

@@ -3,10 +3,9 @@
 Every ``repro.bench`` suite reports on one schema, ``repro.bench/v3``. A
 payload is ``{"schema", "suite", "config", "env", "results"}`` and each
 row of ``results`` is one named **arm** of one **case**: the synopsis
-suite's ``scalar``/``batch`` ingest of one synopsis, the lint suite's
-four cache × jobs configurations, the elastic suite's ``fixed`` and
-``elastic`` clusters. :func:`measure` times every arm *repeats* times;
-the row keeps ``median_s`` and ``iqr_s`` of those runs,
+suite's ``scalar``/``batch`` ingest of one synopsis, the elastic suite's
+``fixed`` and ``elastic`` clusters. :func:`measure` times every arm
+*repeats* times; the row keeps ``median_s`` and ``iqr_s`` of those runs,
 ``items_per_s = n_items / median_s``, and ``equivalent`` — every repeat's
 final state or output matched the case's reference. Ratios are not
 stored: :func:`ratio` takes them between two named arms' medians. ``env``

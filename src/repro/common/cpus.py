@@ -11,8 +11,7 @@ def available_cpu_count() -> int:
     A 64-core host pinned to 2 cores by cgroups/affinity behaves like a
     2-core machine, and ``os.cpu_count()`` happily reports 64. The
     scheduler affinity mask is the answer on Linux; elsewhere fall back to
-    the machine count. ``repro-lint --jobs auto``, the lint bench and the
-    bench ``env`` stamp all read this one function.
+    the machine count. The bench ``env`` stamp reads this function.
     """
     try:
         return len(os.sched_getaffinity(0)) or 1

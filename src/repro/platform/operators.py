@@ -63,7 +63,7 @@ class CountBolt(Bolt):
     def __init__(self, key_index: int = 0, emit_updates: bool = True):
         self.key_index = key_index
         self.emit_updates = emit_updates
-        self.counts: dict[Any, int] = defaultdict(int)
+        self.counts: dict[Any, int] = defaultdict(int)  # streamlint: disable=SL009 - per-shard partials until keyed state (ROADMAP item 11)
 
     def process(self, values: tuple, emit) -> None:
         key = values[self.key_index]
@@ -250,7 +250,7 @@ class CollectorBolt(Bolt):
     """
 
     def __init__(self):
-        self.results: list[tuple] = []
+        self.results: list[tuple] = []  # streamlint: disable=SL009 - per-shard sink until keyed state (ROADMAP item 11)
 
     def process(self, values: tuple, emit) -> None:
         self.results.append(values)

@@ -9,7 +9,7 @@ standalone over any iterable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.common.exceptions import ParameterError
 
@@ -100,6 +100,22 @@ class SlidingTimeWindow:
         self._buffer.append((timestamp, item))
         return closed
 
+    def flush(self) -> list[Window]:
+        """Close every remaining window that covers a buffered item."""
+        closed: list[Window] = []
+        if self._next_emit is not None and self._buffer:
+            last = max(ts for ts, __ in self._buffer)
+            end = self._next_emit
+            while end - self.size <= last:
+                start = end - self.size
+                items = tuple(it for ts, it in self._buffer if start <= ts < end)
+                if items:
+                    closed.append(Window(start, end, items))
+                end += self.step
+        self._buffer = []
+        self._next_emit = None
+        return closed
+
 
 class SessionWindow:
     """Gap-based session windows: a session closes after *gap* of inactivity."""
@@ -142,6 +158,4 @@ def windowed(
     """Drive *manager* over ``(timestamp, item)`` events, yielding windows."""
     for timestamp, item in events:
         yield from manager.add(timestamp, item)
-    flush: Callable[[], list[Window]] | None = getattr(manager, "flush", None)
-    if flush is not None:
-        yield from flush()
+    yield from manager.flush()

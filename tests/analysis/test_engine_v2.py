@@ -1,15 +1,6 @@
-"""v2 engine plumbing: result cache, parallel jobs, baseline, SARIF, CLI."""
+"""CLI exit code for a warnings-only run."""
 
-import json
-
-import pytest
-
-from repro.analysis import Severity, analyze_paths, run_analysis
-from repro.analysis.baseline import load_baseline, write_baseline
 from repro.analysis.cli import main
-from repro.analysis.reporters import render_sarif
-
-_BAD = "import random\nx = random.random()\ndef f(xs=[]):\n    pass\n"
 
 
 def _write(tmp_path, name, source):
@@ -19,158 +10,8 @@ def _write(tmp_path, name, source):
     return target
 
 
-class TestCache:
-    def test_warm_run_hits_every_file(self, tmp_path):
-        _write(tmp_path, "a.py", _BAD)
-        _write(tmp_path, "b.py", "y = 1\n")
-        cache = tmp_path / "cache.json"
-        cold = run_analysis([tmp_path], cache_path=cache)
-        warm = run_analysis([tmp_path], cache_path=cache)
-        assert cold.cache_hits == 0 and cold.cache_misses == 2
-        assert warm.cache_hits == 2 and warm.cache_misses == 0
-        assert [f.to_dict() for f in cold.findings] == [
-            f.to_dict() for f in warm.findings
-        ]
-
-    def test_edited_file_misses(self, tmp_path):
-        target = _write(tmp_path, "a.py", "y = 1\n")
-        cache = tmp_path / "cache.json"
-        run_analysis([tmp_path], cache_path=cache)
-        target.write_text(_BAD)
-        result = run_analysis([tmp_path], cache_path=cache)
-        assert result.cache_misses == 1
-        assert {f.rule_id for f in result.findings} == {"SL001", "SL003"}
-
-    def test_touched_identical_file_hits_via_hash(self, tmp_path):
-        import os
-
-        target = _write(tmp_path, "a.py", "y = 1\n")
-        cache = tmp_path / "cache.json"
-        run_analysis([tmp_path], cache_path=cache)
-        stat = target.stat()
-        os.utime(target, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10_000_000))
-        result = run_analysis([tmp_path], cache_path=cache)
-        assert result.cache_hits == 1
-
-    def test_corrupt_cache_file_ignored(self, tmp_path):
-        _write(tmp_path, "a.py", _BAD)
-        cache = tmp_path / "cache.json"
-        cache.write_text("{not json")
-        result = run_analysis([tmp_path], cache_path=cache)
-        assert {f.rule_id for f in result.findings} == {"SL001", "SL003"}
-
-    def test_project_rules_fire_from_warm_cache(self, tmp_path):
-        # facts round-trip: SL006 evidence comes entirely from the cache
-        _write(
-            tmp_path,
-            "frequency/s.py",
-            "from repro.common.mergeable import SynopsisBase\n"
-            "class NewSketch(SynopsisBase):\n"
-            "    def update(self, item):\n"
-            "        pass\n"
-            "    def _merge_into(self, other):\n"
-            "        pass\n",
-        )
-        _write(tmp_path, "core/registry.py", "_REGISTRY = {}\n")
-        cache = tmp_path / "cache.json"
-        cold = run_analysis([tmp_path], select=["SL006"], cache_path=cache)
-        warm = run_analysis([tmp_path], select=["SL006"], cache_path=cache)
-        assert warm.cache_hits == 2
-        assert [f.to_dict() for f in warm.findings] == [
-            f.to_dict() for f in cold.findings
-        ]
-        assert [f.rule_id for f in warm.findings] == ["SL006"]
-
-
-class TestParallel:
-    def test_jobs_two_matches_serial(self, tmp_path):
-        for i in range(6):
-            _write(tmp_path, f"m{i}.py", _BAD)
-        serial = analyze_paths([tmp_path])
-        parallel = analyze_paths([tmp_path], jobs=2)
-        assert [f.to_dict() for f in serial] == [f.to_dict() for f in parallel]
-
-    def test_syntax_error_survives_pool(self, tmp_path):
-        _write(tmp_path, "broken.py", "def broken(:\n")
-        findings = analyze_paths([tmp_path], jobs=2)
-        assert [f.rule_id for f in findings] == ["SL000"]
-
-
-class TestBaseline:
-    def test_roundtrip_absorbs_exact_findings(self, tmp_path):
-        _write(tmp_path, "a.py", _BAD)
-        findings = analyze_paths([tmp_path])
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(findings, baseline_file)
-        result = run_analysis([tmp_path], baseline=load_baseline(baseline_file))
-        assert result.findings == []
-        assert result.baseline_absorbed == len(findings)
-
-    def test_new_finding_not_absorbed(self, tmp_path):
-        target = _write(tmp_path, "a.py", "import random\nx = random.random()\n")
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(analyze_paths([tmp_path]), baseline_file)
-        target.write_text(
-            "import random\nx = random.random()\ndef f(xs=[]):\n    pass\n"
-        )
-        result = run_analysis([tmp_path], baseline=load_baseline(baseline_file))
-        assert [f.rule_id for f in result.findings] == ["SL003"]
-
-    def test_count_limited_absorption(self, tmp_path):
-        # baseline accepted ONE instance; a second identical message stays
-        _write(tmp_path, "a.py", "import random\nx = random.random()\n")
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(analyze_paths([tmp_path]), baseline_file)
-        _write(
-            tmp_path, "a.py",
-            "import random\nx = random.random()\ny = random.random()\n",
-        )
-        result = run_analysis([tmp_path], baseline=load_baseline(baseline_file))
-        assert len(result.findings) == 1
-
-    def test_stale_baseline_keys_harmless(self, tmp_path):
-        _write(tmp_path, "a.py", "y = 1\n")
-        baseline = {"gone.py::SL001::whatever": 3}
-        result = run_analysis([tmp_path], baseline=baseline)
-        assert result.findings == [] and result.baseline_absorbed == 0
-
-    def test_bad_schema_rejected(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text(json.dumps({"schema": "nope", "findings": {}}))
-        with pytest.raises(ValueError, match="not a streamlint baseline"):
-            load_baseline(bad)
-
-
-class TestSarif:
-    def test_document_shape(self, tmp_path):
-        _write(tmp_path, "a.py", _BAD)
-        findings = analyze_paths([tmp_path])
-        doc = json.loads(render_sarif(findings))
-        assert doc["version"] == "2.1.0"
-        run = doc["runs"][0]
-        assert run["tool"]["driver"]["name"] == "streamlint"
-        rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {f"SL{i:03d}" for i in range(1, 13)} <= rule_ids
-        result = run["results"][0]
-        assert result["ruleId"] in {"SL001", "SL003"}
-        assert result["level"] == "error"
-        region = result["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] >= 1 and region["startColumn"] >= 1
-
-    def test_severity_maps_to_level(self):
-        from repro.analysis import Finding
-
-        warn = Finding(
-            path="x.py", line=1, col=0, rule_id="SL009",
-            severity=Severity.WARNING, message="m",
-        )
-        doc = json.loads(render_sarif([warn]))
-        assert doc["runs"][0]["results"][0]["level"] == "warning"
-
-
 class TestCliV2:
-    def test_warnings_only_exit_three(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)  # keep the repo baseline out of play
+    def test_warnings_only_exit_three(self, tmp_path):
         _write(
             tmp_path,
             "platform/b.py",
@@ -184,52 +25,3 @@ class TestCliV2:
             "        return dict(self.counts)\n",
         )
         assert main([str(tmp_path), "--select", "SL009"]) == 3
-
-    def test_sarif_file_written(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        _write(tmp_path, "a.py", _BAD)
-        out = tmp_path / "report.sarif"
-        assert main([str(tmp_path), "--sarif", str(out)]) == 1
-        doc = json.loads(out.read_text())
-        assert doc["runs"][0]["results"]
-
-    def test_sarif_format_on_stdout(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        _write(tmp_path, "a.py", _BAD)
-        assert main([str(tmp_path), "--format", "sarif"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == "2.1.0"
-
-    def test_write_then_enforce_baseline(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        _write(tmp_path, "a.py", _BAD)
-        assert main([str(tmp_path), "--write-baseline"]) == 0
-        assert (tmp_path / ".streamlint-baseline.json").exists()
-        # auto-detected baseline absorbs everything -> exit 0
-        assert main([str(tmp_path)]) == 0
-        capsys.readouterr()
-        # new violation in a new file is NOT absorbed
-        _write(tmp_path, "b.py", "def g(ys=[]):\n    pass\n")
-        assert main([str(tmp_path)]) == 1
-        assert "SL003" in capsys.readouterr().out
-
-    def test_no_baseline_flag_disables_absorption(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        _write(tmp_path, "a.py", _BAD)
-        assert main([str(tmp_path), "--write-baseline"]) == 0
-        assert main([str(tmp_path), "--no-baseline"]) == 1
-
-    def test_jobs_and_cache_flags(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        _write(tmp_path, "a.py", "x = 1\n")
-        cache = tmp_path / "c.json"
-        argv = [str(tmp_path), "--jobs", "2", "--cache", str(cache), "--stats"]
-        assert main(argv) == 0
-        assert main(argv) == 0
-        assert "1 cache hit(s)" in capsys.readouterr().err
-
-    def test_bad_jobs_value_exits_two(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        _write(tmp_path, "a.py", "x = 1\n")
-        assert main([str(tmp_path), "--jobs", "0"]) == 2
-        assert "--jobs" in capsys.readouterr().err

@@ -203,30 +203,6 @@ class TestAttrInference:
         assert info is not None and info["type"] == "set"
 
 
-class TestRegistrationSurfaces:
-    def test_registry_and_reducers_union(self, model):
-        m = model(
-            {
-                "core/registry.py": (
-                    "from a import Foo\nTABLE = {'foo': Foo}\n"
-                ),
-                "a.py": "class Foo:\n    pass\n",
-                "ship.py": (
-                    "from repro.common.serialization import register_reducer\n"
-                    "class Bar:\n    pass\n"
-                    "register_reducer(Bar, lambda b: {}, lambda d: Bar())\n"
-                ),
-            }
-        )
-        assert {"Foo", "Bar"} <= m.registered_names()
-        assert m.registry_relpath == "core/registry.py"
-
-    def test_no_registry_module(self, model):
-        m = model({"a.py": "class Foo:\n    pass\n"})
-        assert m.registry_relpath is None
-        assert m.registry_referenced is None
-
-
 class TestImportGraph:
     def test_intra_tree_edges_resolved(self, model):
         m = model(

@@ -1,4 +1,4 @@
-"""SL016: synopsis split contract and migration-barrier discipline."""
+"""SL016: migration-barrier discipline."""
 
 from pathlib import Path
 
@@ -7,84 +7,17 @@ from repro.analysis import analyze_paths
 FIXTURES = Path(__file__).parent / "fixtures" / "sl016"
 SELECT = ["SL016"]
 
-SYNOPSIS_PREAMBLE = """\
-class SynopsisBase:
-    pass
-"""
-
 
 class TestFixtures:
     def test_pos_tree_flagged(self):
         findings = analyze_paths([FIXTURES / "pos"], select=SELECT)
         assert {f.rule_id for f in findings} == {"SL016"}
         messages = [f.message for f in findings]
-        assert sum("no _merge_into" in m for m in messages) == 1
-        assert sum("mutates self" in m for m in messages) == 1
         assert sum("call to migration surgery" in m for m in messages) == 1
         assert sum("migration state surgery" in m for m in messages) == 1
 
     def test_neg_tree_clean(self):
         assert analyze_paths([FIXTURES / "neg"], select=SELECT) == []
-
-
-class TestSplitContract:
-    def test_split_without_merge_flagged(self, lint):
-        src = SYNOPSIS_PREAMBLE + (
-            "class S(SynopsisBase):\n"
-            "    def _split_into(self, n):\n"
-            "        return [S() for _ in range(n)]\n"
-        )
-        findings = lint({"sketch.py": src}, select=SELECT)
-        assert [f.rule_id for f in findings] == ["SL016"]
-        assert "no _merge_into" in findings[0].message
-
-    def test_split_mutating_self_flagged(self, lint):
-        src = SYNOPSIS_PREAMBLE + (
-            "class S(SynopsisBase):\n"
-            "    def _merge_into(self, other):\n"
-            "        pass\n"
-            "    def _split_into(self, n):\n"
-            "        self._values = []\n"
-            "        return [S() for _ in range(n)]\n"
-        )
-        findings = lint({"sketch.py": src}, select=SELECT)
-        assert [f.rule_id for f in findings] == ["SL016"]
-        assert "mutates self" in findings[0].message
-
-    def test_merge_inherited_across_modules_clean(self, rule_ids):
-        base = SYNOPSIS_PREAMBLE + (
-            "class MergeableBase(SynopsisBase):\n"
-            "    def _merge_into(self, other):\n"
-            "        raise NotImplementedError\n"
-        )
-        child = (
-            "from base import MergeableBase\n"
-            "class S(MergeableBase):\n"
-            "    def _split_into(self, n):\n"
-            "        return [S() for _ in range(n)]\n"
-        )
-        assert rule_ids({"base.py": base, "child.py": child}, select=SELECT) == []
-
-    def test_merge_only_from_root_not_enough(self, rule_ids):
-        # _merge_into defined only on the stop root does not count as the
-        # inverse: the subclass split still has nothing below the root.
-        src = (
-            "class SynopsisBase:\n"
-            "    def _merge_into(self, other):\n"
-            "        raise NotImplementedError\n"
-            "class S(SynopsisBase):\n"
-            "    def _split_into(self, n):\n"
-            "        return [S() for _ in range(n)]\n"
-        )
-        assert rule_ids({"sketch.py": src}, select=SELECT) == ["SL016"]
-
-    def test_non_synopsis_class_out_of_scope(self, rule_ids):
-        src = (
-            "class Planner:\n"
-            "    def _split_into(self, n):\n"
-            "        self._parts = n\n"
-        )
-        assert rule_ids({"planner.py": src}, select=SELECT) == []
 
 
 class TestBarrierDiscipline:

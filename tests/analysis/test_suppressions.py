@@ -76,66 +76,50 @@ class TestProjectScopeSuppressionRouting:
     pragma were unsuppressible.
     """
 
-    _SKETCH = (
-        "from repro.common.mergeable import SynopsisBase\n"
-        "class NewSketch(SynopsisBase):  # streamlint: disable=SL006\n"
-        "    def update(self, item):\n"
-        "        pass\n"
-        "    def _merge_into(self, other):\n"
-        "        pass\n"
+    _BASE = (
+        "import abc\n"
+        "from repro.platform.topology import Bolt\n"
+        "class Counter(Bolt):\n"
+        "    def process(self, values, emit):\n"
+        "        self.seen.append(values)\n"
+        "    @abc.abstractmethod\n"
+        "    def label(self):\n"
+        "        ...\n"
+    )
+    _TALLY = (
+        "from ops.base import Counter\n"
+        "class Tally(Counter):  # streamlint: disable=SL009\n"
+        "    def label(self):\n"
+        "        return 'tally'\n"
     )
 
     def test_line_pragma_in_flagged_module(self, rule_ids):
-        files = {
-            "frequency/new_sketch.py": self._SKETCH,
-            "core/registry.py": "_REGISTRY = {}\n",
-        }
-        assert rule_ids(files, select=["SL006"]) == []
+        files = {"ops/base.py": self._BASE, "ops/tally.py": self._TALLY}
+        assert rule_ids(files, select=["SL009"]) == []
 
     def test_file_pragma_in_flagged_module(self, rule_ids):
-        sketch = "# streamlint: disable-file=SL006\n" + self._SKETCH.replace(
-            "  # streamlint: disable=SL006", ""
+        tally = "# streamlint: disable-file=SL009\n" + self._TALLY.replace(
+            "  # streamlint: disable=SL009", ""
         )
-        files = {
-            "frequency/new_sketch.py": sketch,
-            "core/registry.py": "_REGISTRY = {}\n",
-        }
-        assert rule_ids(files, select=["SL006"]) == []
+        files = {"ops/base.py": self._BASE, "ops/tally.py": tally}
+        assert rule_ids(files, select=["SL009"]) == []
 
     def test_pragma_in_evidence_module_does_not_leak(self, rule_ids):
-        # the registry module provides the evidence, but a pragma there
-        # must not silence the finding in the sketch's module
-        sketch = self._SKETCH.replace("  # streamlint: disable=SL006", "")
+        # the base module provides the evidence (the accumulating process),
+        # but a pragma there must not silence the finding in Tally's module
+        tally = self._TALLY.replace("  # streamlint: disable=SL009", "")
         files = {
-            "frequency/new_sketch.py": sketch,
-            "core/registry.py": (
-                "# streamlint: disable-file=SL006\n_REGISTRY = {}\n"
-            ),
+            "ops/base.py": "# streamlint: disable-file=SL009\n" + self._BASE,
+            "ops/tally.py": tally,
         }
-        assert rule_ids(files, select=["SL006"]) == ["SL006"]
+        assert rule_ids(files, select=["SL009"]) == ["SL009"]
 
-    def test_cross_module_hierarchy_finding_suppressible(self, rule_ids):
-        # SL002's batch contract resolves the hierarchy across modules;
-        # the finding lands (and is suppressible) in the subclass module
-        base = (
-            "from repro.common.mergeable import SynopsisBase\n"
-            "import abc\n"
-            "class Base(SynopsisBase):\n"
-            "    def update(self, item):\n"
-            "        pass\n"
-            "    def _merge_into(self, other):\n"
-            "        pass\n"
-            "    @abc.abstractmethod\n"
-            "    def query(self):\n"
-            "        ...\n"
-        )
-        child = (
-            "from sketchlib.base import Base\n"
-            "class Child(Base):\n"
-            "    def query(self):\n"
-            "        return 0\n"
-            "    def update_many(self, items):  # streamlint: disable=SL002\n"
-            "        self.total = len(items)\n"
-        )
-        files = {"sketchlib/base.py": base, "sketchlib/child.py": child}
-        assert rule_ids(files, select=["SL002"]) == []
+    def test_cross_module_hierarchy_finding_suppressible(self, lint):
+        # SL009 resolves process() across modules; the finding lands (and
+        # is suppressible) in the subclass module
+        tally = self._TALLY.replace("  # streamlint: disable=SL009", "")
+        files = {"ops/base.py": self._BASE, "ops/tally.py": tally}
+        (finding,) = lint(files, select=["SL009"])
+        assert finding.relpath == "ops/tally.py" and finding.line == 2
+        files["ops/tally.py"] = self._TALLY
+        assert lint(files, select=["SL009"]) == []

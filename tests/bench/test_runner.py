@@ -149,17 +149,16 @@ def test_cli_smoke_writes_validated_json(tmp_path, capsys):
     assert "case" in stdout and "ratio" in stdout and "schema OK" in stdout
 
 
-@pytest.mark.parametrize("flag", ["--cluster", "--serving", "--obs"])
+@pytest.mark.parametrize("flag", ["--cluster", "--serving", "--obs", "--lint"])
 def test_cli_retired_suites_are_usage_errors(flag):
     with pytest.raises(SystemExit) as exc:
         main([flag, "--smoke"])
     assert exc.value.code == 2
 
 
-def test_committed_trajectories_are_the_three_suites():
+def test_committed_trajectories_are_the_two_suites():
     assert [path.name for path in COMMITTED] == [
         "BENCH_elastic.json",
-        "BENCH_lint.json",
         "BENCH_synopses.json",
     ]
 

@@ -25,6 +25,7 @@ import pytest
 
 from repro.bench.fingerprint import state_fingerprint
 from repro.cardinality import HyperLogLog
+from repro.common.exceptions import MergeError
 from repro.core import StreamSummary, stateship
 from repro.platform import (
     FaultInjector,
@@ -71,6 +72,14 @@ def _ingested(name: str, n: int, seed: int):
 def test_pinned_unmergeable_synopses_refuse_merge(name):
     with pytest.raises(NotImplementedError):
         _ingested(name, 16, 1).merge(_ingested(name, 16, 2))
+
+
+@pytest.mark.parametrize("name", MERGEABLE)
+def test_merge_refuses_a_foreign_synopsis(name):
+    # merge runs the base compatibility check before it touches any state
+    foreign = "count_min" if name == "hyperloglog" else "hyperloglog"
+    with pytest.raises(MergeError):
+        _ingested(name, 16, 1).merge(_ingested(foreign, 16, 2))
 
 
 # (items in a, items in b): both fed, an empty receiver, an empty donor.

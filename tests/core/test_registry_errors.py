@@ -1,4 +1,4 @@
-"""Registry error paths and invariants (SL006's runtime counterpart)."""
+"""Registry error paths and invariants (coverage: `test_registry_coverage.py`)."""
 
 import inspect
 

@@ -55,6 +55,23 @@ class TestSlidingTimeWindow:
         windows = list(windowed(events, SlidingTimeWindow(size=4.0, step=4.0)))
         assert all(len(w) == 4 for w in windows)
 
+    def test_flush_emits_every_window_left_open(self):
+        events = [(1, "a"), (7, "b"), (12, "c")]
+        windows = list(windowed(events, SlidingTimeWindow(10, 5)))
+        assert [(w.start, w.end, w.items) for w in windows] == [
+            (-5, 5, ("a",)),
+            (0, 10, ("a", "b")),
+            (5, 15, ("b", "c")),
+            (10, 20, ("c",)),
+        ]
+
+    def test_flush_resets_the_manager(self):
+        sw = SlidingTimeWindow(4.0, 2.0)
+        sw.add(1.0, "x")
+        assert [w.items for w in sw.flush()] == [("x",), ("x",)]
+        assert sw.flush() == []
+        assert sw.add(11.0, "y") == []
+
 
 class TestSessionWindow:
     def test_sessions_split_on_gap(self):
